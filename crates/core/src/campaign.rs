@@ -18,8 +18,7 @@
 //!
 //! The merged [`CampaignReport`] is a pure function of the campaign's
 //! semantic settings (seed, shards, budget, epoch length, target);
-//! `workers`, the executor mode, and machine reuse only change how fast it
-//! is produced. See [`crate::parallel`] for the work-stealing engine that
+//! `workers` and machine reuse only change how fast it is produced. See [`crate::parallel`] for the work-stealing engine that
 //! guarantees this.
 //!
 //! # Checkpoint and resume
@@ -47,7 +46,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use kernelsim::{BugSwitches, ExecMode};
+use kernelsim::BugSwitches;
 use oemu::{Iid, MemoryModel};
 
 use crate::checkpoint::CampaignCheckpoint;
@@ -191,13 +190,6 @@ impl CampaignBuilder {
     /// Selects the memory model the campaign's kernels run under.
     pub fn memory_model(mut self, model: MemoryModel) -> CampaignBuilder {
         self.cfg.memory_model = model;
-        self
-    }
-
-    /// Selects the executor backend (a perf knob; does not change the
-    /// merged report).
-    pub fn exec_mode(mut self, mode: ExecMode) -> CampaignBuilder {
-        self.cfg.exec_mode = mode;
         self
     }
 

@@ -10,11 +10,9 @@
 //!
 //! The format is the dependency-free [`kutil::codec`] text form (magic
 //! `ozz-campaign`). Two classes of settings are deliberately *not*
-//! serialized: [`kernelsim::ExecMode`] and machine reuse are throughput
-//! knobs with byte-identical output (pinned by `tests/exec_equivalence.rs`
-//! and `tests/pool_fidelity.rs`), so a checkpoint taken under one executor
-//! resumes under another; and the worker count of the work-stealing
-//! dispatcher is pure timing. Everything semantic — seed, budget, shard
+//! serialized: machine reuse is a throughput knob with byte-identical
+//! output (pinned by `tests/pool_fidelity.rs`); and the worker count of
+//! the work-stealing dispatcher is pure timing. Everything semantic — seed, budget, shard
 //! count, bug switches, memory model, hint configuration — is embedded,
 //! and on resume the checkpoint's values win over whatever the resuming
 //! builder was configured with.

@@ -15,14 +15,14 @@
 //! kills the offending task. The executor catches it at the syscall
 //! boundary.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use kmem::{
     Fault, FnRegistry, FnRegistrySnapshot, Kmem, KmemSnapshot, LockId, Lockdep, LockdepSnapshot,
     OracleSink, SinkSnapshot,
 };
-use ksched::{Scheduler, StepScheduler};
+use ksched::StepScheduler;
 use kutil::sync::Mutex;
 use oemu::{Engine, EngineSnapshot, Iid, LoadAnn, MemoryModel, RmwOrder, StoreAnn, Tid};
 
@@ -160,16 +160,6 @@ impl MachineSnapshot {
     }
 }
 
-/// The scheduler installed for a concurrent phase: one of the two executor
-/// variants. The instrumented-access gates dispatch on it.
-#[derive(Clone)]
-enum SchedSlot {
-    /// Token-passing condvar scheduler (one OS thread per simulated CPU).
-    Threaded(Arc<Scheduler>),
-    /// Threadless step scheduler (both CPUs interleaved on one thread).
-    Stepped(Arc<StepScheduler>),
-}
-
 /// One booted simulated machine.
 pub struct Kctx {
     /// The OEMU emulation engine.
@@ -182,12 +172,8 @@ pub struct Kctx {
     pub lockdep: Lockdep,
     /// Crash-report collector.
     pub sink: OracleSink,
-    sched: Mutex<Option<SchedSlot>>,
-    /// Which executor the `run_concurrent*` entry points use on this
-    /// machine. Deliberately *not* part of [`MachineSnapshot`] (or its
-    /// digest): the two executors take byte-identical scheduling decisions,
-    /// so the mode is an execution-strategy knob, not machine state.
-    exec_mode: AtomicU8,
+    /// The step scheduler of the concurrent phase in progress, if any.
+    sched: Mutex<Option<Arc<StepScheduler>>>,
     bugs: BugSwitches,
     /// Instrumentation bypass for the Table 5 overhead baseline.
     raw: AtomicBool,
@@ -219,7 +205,6 @@ impl Kctx {
             lockdep: Lockdep::new(),
             sink: OracleSink::new(),
             sched: Mutex::new(None),
-            exec_mode: AtomicU8::new(ExecMode::from_env() as u8),
             bugs,
             raw: AtomicBool::new(false),
             migration_override: AtomicBool::new(false),
@@ -296,7 +281,7 @@ impl Kctx {
     /// the full `clone_from` otherwise; `engine.stats()` counts both
     /// outcomes for the machine's dominant subsystem.
     pub fn restore(&self, snap: &MachineSnapshot) {
-        self.set_scheduler(None);
+        self.set_step_scheduler(None);
         self.engine.restore(&snap.engine);
         self.kmem.restore(&snap.kmem);
         self.fns.restore(&snap.fns);
@@ -373,34 +358,15 @@ impl Kctx {
         &self.bugs
     }
 
-    /// Installs (or removes) the custom scheduler for the concurrent phase
-    /// of a test.
-    pub fn set_scheduler(&self, sched: Option<Arc<Scheduler>>) {
-        *self.sched.lock() = sched.map(SchedSlot::Threaded);
-    }
-
-    /// Installs (or removes) the threadless step scheduler for the
-    /// concurrent phase of a test — the stepped executor's counterpart of
-    /// [`Kctx::set_scheduler`].
+    /// Installs (or removes) the step scheduler for the concurrent phase of
+    /// a test; the instrumented-access gates consult it.
     pub fn set_step_scheduler(&self, sched: Option<Arc<StepScheduler>>) {
-        *self.sched.lock() = sched.map(SchedSlot::Stepped);
+        *self.sched.lock() = sched;
     }
 
-    /// Which executor this machine's `run_concurrent*` entry points use.
-    /// Defaults to [`ExecMode::from_env`] at boot.
-    pub fn exec_mode(&self) -> ExecMode {
-        match self.exec_mode.load(Ordering::Relaxed) {
-            x if x == ExecMode::Threaded as u8 => ExecMode::Threaded,
-            _ => ExecMode::Stepped,
-        }
-    }
-
-    /// Selects the executor for this machine. Campaign output is pinned
-    /// byte-identical across modes (`tests/exec_equivalence.rs`); only
-    /// throughput differs.
-    pub fn set_exec_mode(&self, mode: ExecMode) {
-        self.exec_mode.store(mode as u8, Ordering::Relaxed);
-    }
+    /// Does nothing: there is one pair executor. Kept only because the
+    /// `ozzbench` benchmark calls it with `FuzzConfig::exec_mode`.
+    pub fn set_exec_mode(&self, _mode: ExecMode) {}
 
     /// The memory model this machine's engine emulates (fixed at boot).
     pub fn memory_model(&self) -> MemoryModel {
@@ -496,24 +462,19 @@ impl Kctx {
     }
 
     fn gate_before(&self, t: Tid, iid: Iid) {
-        // Clone out of the lock before gating: the gate may block on the
-        // threaded scheduler's condvar (or run the peer leg inline, in the
-        // stepped executor), and holding the sched slot's mutex across that
-        // would deadlock the peer CPU's own gate call.
+        // Clone out of the lock before gating: the gate may run the peer
+        // leg inline, and holding the sched slot's mutex across that would
+        // deadlock the peer CPU's own gate call.
         let sched = self.sched.lock().clone();
-        match sched {
-            Some(SchedSlot::Threaded(s)) => s.gate_before(t, iid),
-            Some(SchedSlot::Stepped(s)) => s.gate_before(t, iid),
-            None => {}
+        if let Some(s) = sched {
+            s.gate_before(t, iid);
         }
     }
 
     fn gate_after(&self, t: Tid, iid: Iid) {
         let sched = self.sched.lock().clone();
-        match sched {
-            Some(SchedSlot::Threaded(s)) => s.gate_after(t, iid),
-            Some(SchedSlot::Stepped(s)) => s.gate_after(t, iid),
-            None => {}
+        if let Some(s) = sched {
+            s.gate_after(t, iid);
         }
     }
 

@@ -7,63 +7,55 @@
 //! one virtual CPU running at a time, and switches vCPUs when the breakpoint
 //! is hit (Figure 9).
 //!
-//! This crate provides that contract twice, over the same plan/record/replay
-//! vocabulary:
-//!
-//! - [`Scheduler`] — the threaded executor. Every simulated CPU is a real
-//!   thread, but a token serialises them so exactly one executes at a time;
-//!   context switches happen only at instrumented access *gates*, where the
-//!   scheduler checks the installed [`Breakpoint`] and parks the thread on a
-//!   condvar while the other runs.
-//! - [`StepScheduler`] — the threadless executor. Both CPUs are *legs*
-//!   (boxed closures) run on one OS thread; a gate that fires simply calls
-//!   the peer leg as a nested function and resumes when it returns. This is
-//!   sound because a pair run performs at most one deliberate handoff (the
-//!   single optional breakpoint disarms when it fires), so the suspended
-//!   side always sits below the running side on the call stack.
+//! This crate provides that contract as the [`StepScheduler`]: both
+//! simulated CPUs are *legs* (boxed closures) run on one OS thread, and a
+//! gate that fires simply calls the peer leg as a nested function and
+//! resumes when it returns. This is sound because a pair run performs at
+//! most one deliberate handoff (the single optional breakpoint disarms when
+//! it fires), so the suspended side always sits below the running side on
+//! the call stack.
 //!
 //! Crucially — and this is the property §2.3 says breakpoint-based tools
-//! destroy and OEMU restores — suspending a CPU in either executor does
-//! **not** flush its virtual store buffer, so delayed stores stay invisible
-//! across the switch, exactly like a suspended vCPU whose in-flight stores
-//! the paper's OEMU keeps buffered.
+//! destroy and OEMU restores — suspending a CPU does **not** flush its
+//! virtual store buffer, so delayed stores stay invisible across the
+//! switch, exactly like a suspended vCPU whose in-flight stores the paper's
+//! OEMU keeps buffered.
 //!
 //! # Examples
 //!
 //! ```
 //! use std::sync::Arc;
 //! use oemu::{iid, Tid};
-//! use ksched::{BreakWhen, Breakpoint, SchedulePlan, Scheduler};
+//! use ksched::{BreakWhen, Breakpoint, SchedulePlan, StepScheduler};
 //!
 //! let point = iid!();
 //! let plan = SchedulePlan {
 //!     first: Tid(0),
 //!     breakpoint: Some(Breakpoint { iid: point, when: BreakWhen::After, hit: 1 }),
 //! };
-//! let sched = Arc::new(Scheduler::new(2, plan));
+//! let sched = Arc::new(StepScheduler::new(2, plan));
 //! let order = Arc::new(kutil::sync::Mutex::new(Vec::new()));
-//! std::thread::scope(|s| {
-//!     let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
-//!     s.spawn(move || {
-//!         sc.thread_start(Tid(0));
-//!         ord.lock().push("t0-a");
-//!         sc.gate_after(Tid(0), point); // breakpoint: switch to t1
-//!         ord.lock().push("t0-b");
-//!         sc.thread_finish(Tid(0));
-//!     });
-//!     let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
-//!     s.spawn(move || {
-//!         sc.thread_start(Tid(1));
-//!         ord.lock().push("t1");
-//!         sc.thread_finish(Tid(1));
-//!     });
-//! });
+//! let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
+//! sched.set_leg(Tid(0), Box::new(move || {
+//!     sc.leg_start(Tid(0));
+//!     ord.lock().push("t0-a");
+//!     sc.gate_after(Tid(0), point); // breakpoint: runs leg 1 inline
+//!     ord.lock().push("t0-b");
+//!     sc.leg_finish(Tid(0));
+//! }));
+//! let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
+//! sched.set_leg(Tid(1), Box::new(move || {
+//!     sc.leg_start(Tid(1));
+//!     ord.lock().push("t1");
+//!     sc.leg_finish(Tid(1));
+//! }));
+//! sched.run();
 //! assert_eq!(*order.lock(), vec!["t0-a", "t1", "t0-b"]);
 //! ```
 
 #![deny(missing_docs)]
 
-use kutil::sync::{Condvar, Mutex};
+use kutil::sync::Mutex;
 use oemu::{BarrierKind, Iid, MemoryModel, SwitchPoint, Tid};
 
 /// The scheduler-facing capability view of a memory model.
@@ -195,241 +187,25 @@ struct State {
     cursor: usize,
 }
 
-/// Token-passing scheduler for one test run.
-pub struct Scheduler {
-    state: Mutex<State>,
-    cv: Condvar,
-    nthreads: usize,
-    mode: SchedMode,
-}
-
-impl Scheduler {
-    fn with_mode(
-        nthreads: usize,
-        first: Tid,
-        breakpoint: Option<Breakpoint>,
-        mode: SchedMode,
-        switch_log: Vec<SwitchPoint>,
-    ) -> Self {
-        assert!(first.0 < nthreads, "first thread out of range");
-        Scheduler {
-            state: Mutex::new(State {
-                active: first,
-                finished: vec![false; nthreads],
-                armed: breakpoint,
-                hits: 0,
-                switches: 0,
-                gate_counts: vec![0; nthreads],
-                switch_log,
-                cursor: 0,
-            }),
-            cv: Condvar::new(),
-            nthreads,
-            mode,
-        }
-    }
-
-    /// Creates a scheduler for `nthreads` simulated CPUs following `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.first` is out of range.
-    pub fn new(nthreads: usize, plan: SchedulePlan) -> Self {
-        Self::with_mode(
-            nthreads,
-            plan.first,
-            plan.breakpoint,
-            SchedMode::Plan,
-            Vec::new(),
-        )
-    }
-
-    /// Like [`Scheduler::new`], but every breakpoint-driven handoff is
-    /// logged as a [`SwitchPoint`]; collect the log with
-    /// [`take_switch_log`](Scheduler::take_switch_log) after the run.
-    pub fn recording(nthreads: usize, plan: SchedulePlan) -> Self {
-        Self::with_mode(
-            nthreads,
-            plan.first,
-            plan.breakpoint,
-            SchedMode::Record,
-            Vec::new(),
-        )
-    }
-
-    /// Creates a scheduler slaved to a recorded switch log: no breakpoint,
-    /// the token moves exactly where (and when, in per-thread gate counts)
-    /// the log says it moved. Implicit handoffs at thread exit follow the
-    /// normal finish path, exactly as they did at record time.
-    pub fn replaying(nthreads: usize, first: Tid, switches: Vec<SwitchPoint>) -> Self {
-        Self::with_mode(nthreads, first, None, SchedMode::Replay, switches)
-    }
-
-    /// Takes the switch log recorded by a [`recording`](Scheduler::recording)
-    /// scheduler.
-    pub fn take_switch_log(&self) -> Vec<SwitchPoint> {
-        std::mem::take(&mut self.state.lock().switch_log)
-    }
-
-    /// Blocks until `tid` holds the execution token. Must be the first call
-    /// a simulated CPU makes.
-    pub fn thread_start(&self, tid: Tid) {
-        let mut st = self.state.lock();
-        while st.active != tid {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Gate checked *before* an instrumented access executes.
-    pub fn gate_before(&self, tid: Tid, iid: Iid) {
-        self.gate(tid, iid, BreakWhen::Before);
-    }
-
-    /// Gate checked *after* an instrumented access executes.
-    pub fn gate_after(&self, tid: Tid, iid: Iid) {
-        self.gate(tid, iid, BreakWhen::After);
-    }
-
-    fn gate(&self, tid: Tid, iid: Iid, phase: BreakWhen) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.active, tid, "only the token holder may execute");
-        if self.mode != SchedMode::Plan {
-            st.gate_counts[tid.0] += 1;
-        }
-        if self.mode == SchedMode::Replay {
-            // Replay: fire exactly at the recorded per-thread gate count.
-            // A target that already finished cannot be resumed; skipping
-            // the entry keeps the run alive and the engine-side step
-            // cursor reports the divergence.
-            if let Some(&sp) = st.switch_log.get(st.cursor) {
-                if sp.tid == tid && sp.nth_gate == st.gate_counts[tid.0] {
-                    st.cursor += 1;
-                    if sp.to.0 < self.nthreads && !st.finished[sp.to.0] {
-                        st.active = sp.to;
-                        st.switches += 1;
-                        self.cv.notify_all();
-                        while st.active != tid {
-                            self.cv.wait(&mut st);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let Some(bp) = st.armed else { return };
-        if bp.iid != iid || bp.when != phase {
-            return;
-        }
-        // Occurrence counting happens at the matching phase only, so a
-        // Before breakpoint and an After breakpoint on the same iid count
-        // identically.
-        st.hits += 1;
-        if st.hits < bp.hit {
-            return;
-        }
-        // Fire: disarm, hand the token to the next runnable thread, and wait
-        // to be resumed (the Figure 9 suspend/resume pair).
-        st.armed = None;
-        if let Some(next) = self.next_runnable(&st, tid) {
-            if self.mode == SchedMode::Record {
-                let nth_gate = st.gate_counts[tid.0];
-                st.switch_log.push(SwitchPoint {
-                    tid,
-                    nth_gate,
-                    to: next,
-                });
-            }
-            st.active = next;
-            st.switches += 1;
-            self.cv.notify_all();
-            while st.active != tid {
-                self.cv.wait(&mut st);
-            }
-        }
-    }
-
-    /// Marks `tid` finished and passes the token to the next runnable
-    /// thread (or back to a thread suspended at its breakpoint).
-    pub fn thread_finish(&self, tid: Tid) {
-        let mut st = self.state.lock();
-        st.finished[tid.0] = true;
-        if let Some(next) = self.next_runnable(&st, tid) {
-            st.active = next;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Number of breakpoint-driven context switches that occurred.
-    pub fn switches(&self) -> u32 {
-        self.state.lock().switches
-    }
-
-    /// Whether every registered thread has finished.
-    pub fn all_finished(&self) -> bool {
-        self.state.lock().finished.iter().all(|&f| f)
-    }
-
-    fn next_runnable(&self, st: &State, current: Tid) -> Option<Tid> {
-        (1..=self.nthreads)
-            .map(|off| Tid((current.0 + off) % self.nthreads))
-            .find(|t| !st.finished[t.0])
-    }
-}
-
 /// One simulated CPU's execution as a value: the closure the step scheduler
 /// invokes when that CPU is scheduled.
 pub type Leg = Box<dyn FnOnce() + Send>;
 
-/// Threadless scheduler: both simulated CPUs run interleaved on the calling
-/// OS thread, and a context switch is a nested function call instead of a
-/// condvar handshake.
+/// The pair scheduler: both simulated CPUs run interleaved on the calling
+/// OS thread, and a context switch is a nested function call.
 ///
-/// The state machine — active thread, armed [`Breakpoint`], hit counting,
-/// per-thread gate counts, switch logging — is the [`Scheduler`]'s, line for
-/// line, so a run under either executor takes byte-identical scheduling
-/// decisions. What differs is only the suspend/resume mechanism: where the
-/// threaded gate parks the firing thread and wakes the peer, the stepped
-/// gate *calls* the peer's [`Leg`] and continues when it returns.
+/// The state machine tracks the active thread, the armed [`Breakpoint`] and
+/// its hit count, per-thread gate counts and the switch log. A gate that
+/// fires *calls* the peer's [`Leg`] and continues when it returns.
 ///
 /// The nested-call model is complete for everything the planner can
 /// express: a [`SchedulePlan`] carries at most one breakpoint, which disarms
 /// when it fires, so a run performs at most one deliberate handoff and the
-/// suspended leg always resumes in stack (LIFO) order. Replaying a recorded
-/// switch log with more than one [`SwitchPoint`] would need non-LIFO
-/// resumption; callers route such traces to the threaded executor (the
-/// recorded logs this workspace produces never contain more than one).
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use oemu::{iid, Tid};
-/// use ksched::{BreakWhen, Breakpoint, SchedulePlan, StepScheduler};
-///
-/// let point = iid!();
-/// let plan = SchedulePlan {
-///     first: Tid(0),
-///     breakpoint: Some(Breakpoint { iid: point, when: BreakWhen::After, hit: 1 }),
-/// };
-/// let sched = Arc::new(StepScheduler::new(2, plan));
-/// let order = Arc::new(kutil::sync::Mutex::new(Vec::new()));
-/// let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
-/// sched.set_leg(Tid(0), Box::new(move || {
-///     sc.leg_start(Tid(0));
-///     ord.lock().push("t0-a");
-///     sc.gate_after(Tid(0), point); // breakpoint: runs leg 1 inline
-///     ord.lock().push("t0-b");
-///     sc.leg_finish(Tid(0));
-/// }));
-/// let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
-/// sched.set_leg(Tid(1), Box::new(move || {
-///     sc.leg_start(Tid(1));
-///     ord.lock().push("t1");
-///     sc.leg_finish(Tid(1));
-/// }));
-/// sched.run();
-/// assert_eq!(*order.lock(), vec!["t0-a", "t1", "t0-b"]);
-/// ```
+/// suspended leg always resumes in stack (LIFO) order. Replaying a switch
+/// log with more than one [`SwitchPoint`] would need non-LIFO resumption,
+/// so [`replaying`](StepScheduler::replaying) rejects it; recorded logs
+/// never contain more than one, and the trace parser refuses a second
+/// `switch` line.
 pub struct StepScheduler {
     state: Mutex<State>,
     legs: Mutex<Vec<Option<Leg>>>,
@@ -493,8 +269,9 @@ impl StepScheduler {
     }
 
     /// Creates a step scheduler slaved to a recorded switch log with at most
-    /// one entry. Logs with more switches need non-LIFO resumption and must
-    /// go to the threaded [`Scheduler`] instead.
+    /// one entry: no breakpoint, the token moves exactly where (and when, in
+    /// per-thread gate counts) the log says it moved. Implicit handoffs at
+    /// leg exit follow the normal finish path, as they did at record time.
     ///
     /// # Panics
     ///
@@ -502,7 +279,7 @@ impl StepScheduler {
     pub fn replaying(nthreads: usize, first: Tid, switches: Vec<SwitchPoint>) -> Self {
         assert!(
             switches.len() <= 1,
-            "multi-switch logs need the threaded scheduler"
+            "multi-switch logs need non-LIFO resumption"
         );
         Self::with_mode(nthreads, first, None, SchedMode::Replay, switches)
     }
@@ -519,10 +296,8 @@ impl StepScheduler {
         self.legs.lock()[tid.0] = Some(leg);
     }
 
-    /// The stepped analog of [`Scheduler::thread_start`]: a leg's first
-    /// call. Where the threaded version blocks until the token arrives, a
-    /// leg is only ever *invoked* while it holds the token, so this merely
-    /// asserts the invariant.
+    /// A leg's first call. A leg is only ever *invoked* while it holds the
+    /// token, so this merely asserts the invariant.
     pub fn leg_start(&self, tid: Tid) {
         debug_assert_eq!(
             self.state.lock().active,
@@ -531,10 +306,9 @@ impl StepScheduler {
         );
     }
 
-    /// The stepped analog of [`Scheduler::thread_finish`]: marks `tid`
-    /// finished and hands the token to the next runnable thread — which, if
-    /// this leg ran nested inside a peer's gate, is the suspended peer the
-    /// gate returns into.
+    /// A leg's last call: marks `tid` finished and hands the token to the
+    /// next runnable thread — which, if this leg ran nested inside a peer's
+    /// gate, is the suspended peer the gate returns into.
     pub fn leg_finish(&self, tid: Tid) {
         let mut st = self.state.lock();
         st.finished[tid.0] = true;
@@ -562,8 +336,9 @@ impl StepScheduler {
             }
             if self.mode == SchedMode::Replay {
                 // Replay: fire exactly at the recorded per-thread gate
-                // count, with the threaded executor's skip rule for targets
-                // that already finished.
+                // count. A target that already finished cannot be resumed;
+                // skipping the entry keeps the run alive and the
+                // engine-side step cursor reports the divergence.
                 let mut next = None;
                 if let Some(&sp) = st.switch_log.get(st.cursor) {
                     if sp.tid == tid && sp.nth_gate == st.gate_counts[tid.0] {
@@ -585,9 +360,9 @@ impl StepScheduler {
                 if st.hits < bp.hit {
                     return;
                 }
-                // Fire: disarm and hand the token over — the decision logic
-                // (including the self-handoff when the peer already
-                // finished) is the threaded gate's verbatim.
+                // Fire: disarm and hand the token to the next runnable
+                // thread (the Figure 9 suspend/resume pair). When the peer
+                // already finished, that is a self-handoff.
                 st.armed = None;
                 match self.next_runnable(&st, tid) {
                     Some(next) => {
@@ -607,10 +382,9 @@ impl StepScheduler {
                 }
             }
         };
-        // Suspend/resume, threadless: run the peer's leg as a nested call
-        // (with no locks held). A handoff to self — the peer already
-        // finished — is counted above but needs no call, exactly like the
-        // threaded gate's wait loop falling straight through.
+        // Suspend/resume: run the peer's leg as a nested call (with no
+        // locks held). A handoff to self — the peer already finished — is
+        // counted above but needs no call.
         if let Some(next) = next {
             if next != tid {
                 let leg = self.legs.lock()[next.0]
@@ -708,31 +482,46 @@ mod caps_tests {
 }
 
 #[cfg(test)]
-mod tests {
+mod step_tests {
     use super::*;
     use oemu::iid;
     use std::sync::Arc;
 
+    /// Runs two bodies on a step scheduler the way `kernelsim::exec` does:
+    /// wrap each in leg_start/leg_finish, install, run.
+    fn run_two_stepped(
+        sched: &Arc<StepScheduler>,
+        body0: impl FnOnce(&StepScheduler) + Send + 'static,
+        body1: impl FnOnce(&StepScheduler) + Send + 'static,
+    ) {
+        let sc = Arc::clone(sched);
+        sched.set_leg(
+            Tid(0),
+            Box::new(move || {
+                sc.leg_start(Tid(0));
+                body0(&sc);
+                sc.leg_finish(Tid(0));
+            }),
+        );
+        let sc = Arc::clone(sched);
+        sched.set_leg(
+            Tid(1),
+            Box::new(move || {
+                sc.leg_start(Tid(1));
+                body1(&sc);
+                sc.leg_finish(Tid(1));
+            }),
+        );
+        sched.run();
+    }
+
     fn run_two(
         plan: SchedulePlan,
-        body0: impl FnOnce(&Scheduler) + Send,
-        body1: impl FnOnce(&Scheduler) + Send,
-    ) -> Arc<Scheduler> {
-        let sched = Arc::new(Scheduler::new(2, plan));
-        std::thread::scope(|s| {
-            let sc = Arc::clone(&sched);
-            s.spawn(move || {
-                sc.thread_start(Tid(0));
-                body0(&sc);
-                sc.thread_finish(Tid(0));
-            });
-            let sc = Arc::clone(&sched);
-            s.spawn(move || {
-                sc.thread_start(Tid(1));
-                body1(&sc);
-                sc.thread_finish(Tid(1));
-            });
-        });
+        body0: impl FnOnce(&StepScheduler) + Send + 'static,
+        body1: impl FnOnce(&StepScheduler) + Send + 'static,
+    ) -> Arc<StepScheduler> {
+        let sched = Arc::new(StepScheduler::new(2, plan));
+        run_two_stepped(&sched, body0, body1);
         sched
     }
 
@@ -749,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn after_breakpoint_switches_midway() {
+    fn after_breakpoint_runs_peer_nested() {
         let point = iid!();
         let order = Arc::new(Mutex::new(Vec::new()));
         let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
@@ -876,250 +665,27 @@ mod tests {
         assert_eq!(*order.lock(), vec!["t0", "t1", "t0-post"]);
     }
 
-    fn run_two_on(
-        sched: &Arc<Scheduler>,
-        body0: impl FnOnce(&Scheduler) + Send,
-        body1: impl FnOnce(&Scheduler) + Send,
-    ) {
-        std::thread::scope(|s| {
-            let sc = Arc::clone(sched);
-            s.spawn(move || {
-                sc.thread_start(Tid(0));
-                body0(&sc);
-                sc.thread_finish(Tid(0));
-            });
-            let sc = Arc::clone(sched);
-            s.spawn(move || {
-                sc.thread_start(Tid(1));
-                body1(&sc);
-                sc.thread_finish(Tid(1));
-            });
-        });
+    #[test]
+    fn three_threads_rotate_in_order() {
+        let sched = Arc::new(StepScheduler::new(3, SchedulePlan::sequential(Tid(0))));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for t in 0..3 {
+            let (sc, ord) = (Arc::clone(&sched), Arc::clone(&order));
+            sched.set_leg(
+                Tid(t),
+                Box::new(move || {
+                    sc.leg_start(Tid(t));
+                    ord.lock().push(t);
+                    sc.leg_finish(Tid(t));
+                }),
+            );
+        }
+        sched.run();
+        assert_eq!(*order.lock(), vec![0, 1, 2]);
     }
 
     #[test]
     fn recorded_switch_log_replays_the_same_interleaving() {
-        let point = iid!();
-        let body0 = |sc: &Scheduler, ord: &Arc<Mutex<Vec<&'static str>>>| {
-            ord.lock().push("t0-a");
-            sc.gate_before(Tid(0), point); // counts but does not match
-            sc.gate_after(Tid(0), point); // fires on the record side
-            ord.lock().push("t0-b");
-            sc.gate_after(Tid(0), iid!());
-        };
-        let body1 = |sc: &Scheduler, ord: &Arc<Mutex<Vec<&'static str>>>| {
-            ord.lock().push("t1");
-            sc.gate_after(Tid(1), iid!());
-        };
-
-        let rec = Arc::new(Scheduler::recording(
-            2,
-            SchedulePlan {
-                first: Tid(0),
-                breakpoint: Some(Breakpoint {
-                    iid: point,
-                    when: BreakWhen::After,
-                    hit: 1,
-                }),
-            },
-        ));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        run_two_on(&rec, move |sc| body0(sc, &o0), move |sc| body1(sc, &o1));
-        assert_eq!(*order.lock(), vec!["t0-a", "t1", "t0-b"]);
-        let log = rec.take_switch_log();
-        assert_eq!(
-            log,
-            vec![SwitchPoint {
-                tid: Tid(0),
-                nth_gate: 2,
-                to: Tid(1),
-            }]
-        );
-
-        // Replay with no breakpoint at all: the log alone must reproduce
-        // the interleaving.
-        let rep = Arc::new(Scheduler::replaying(2, Tid(0), log));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        run_two_on(&rep, move |sc| body0(sc, &o0), move |sc| body1(sc, &o1));
-        assert_eq!(*order.lock(), vec!["t0-a", "t1", "t0-b"]);
-        assert_eq!(rep.switches(), 1);
-    }
-
-    #[test]
-    fn empty_switch_log_replays_sequentially() {
-        let rep = Arc::new(Scheduler::replaying(2, Tid(1), Vec::new()));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        run_two_on(
-            &rep,
-            move |sc| {
-                o0.lock().push(0);
-                sc.gate_after(Tid(0), iid!());
-            },
-            move |sc| {
-                o1.lock().push(1);
-                sc.gate_after(Tid(1), iid!());
-            },
-        );
-        assert_eq!(*order.lock(), vec![1, 0], "first=1 runs to completion");
-    }
-
-    #[test]
-    fn three_threads_rotate_in_order() {
-        let sched = Arc::new(Scheduler::new(3, SchedulePlan::sequential(Tid(0))));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            for t in 0..3 {
-                let sc = Arc::clone(&sched);
-                let ord = Arc::clone(&order);
-                s.spawn(move || {
-                    sc.thread_start(Tid(t));
-                    ord.lock().push(t);
-                    sc.thread_finish(Tid(t));
-                });
-            }
-        });
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
-    }
-}
-
-#[cfg(test)]
-mod step_tests {
-    use super::*;
-    use oemu::iid;
-    use std::sync::Arc;
-
-    /// Runs two bodies on a step scheduler the way `kernelsim::exec` does:
-    /// wrap each in leg_start/leg_finish, install, run.
-    fn run_two_stepped(
-        sched: &Arc<StepScheduler>,
-        body0: impl FnOnce(&StepScheduler) + Send + 'static,
-        body1: impl FnOnce(&StepScheduler) + Send + 'static,
-    ) {
-        let sc = Arc::clone(sched);
-        sched.set_leg(
-            Tid(0),
-            Box::new(move || {
-                sc.leg_start(Tid(0));
-                body0(&sc);
-                sc.leg_finish(Tid(0));
-            }),
-        );
-        let sc = Arc::clone(sched);
-        sched.set_leg(
-            Tid(1),
-            Box::new(move || {
-                sc.leg_start(Tid(1));
-                body1(&sc);
-                sc.leg_finish(Tid(1));
-            }),
-        );
-        sched.run();
-    }
-
-    fn run_two(
-        plan: SchedulePlan,
-        body0: impl FnOnce(&StepScheduler) + Send + 'static,
-        body1: impl FnOnce(&StepScheduler) + Send + 'static,
-    ) -> Arc<StepScheduler> {
-        let sched = Arc::new(StepScheduler::new(2, plan));
-        run_two_stepped(&sched, body0, body1);
-        sched
-    }
-
-    #[test]
-    fn sequential_plan_runs_first_to_completion() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        run_two(
-            SchedulePlan::sequential(Tid(1)),
-            move |_| o0.lock().push(0),
-            move |_| o1.lock().push(1),
-        );
-        assert_eq!(*order.lock(), vec![1, 0]);
-    }
-
-    #[test]
-    fn after_breakpoint_runs_peer_nested() {
-        let point = iid!();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        let sched = run_two(
-            SchedulePlan {
-                first: Tid(0),
-                breakpoint: Some(Breakpoint {
-                    iid: point,
-                    when: BreakWhen::After,
-                    hit: 1,
-                }),
-            },
-            move |sc| {
-                o0.lock().push("t0-pre");
-                sc.gate_after(Tid(0), point);
-                o0.lock().push("t0-post");
-            },
-            move |sc| {
-                o1.lock().push("t1");
-                sc.gate_after(Tid(1), iid!());
-            },
-        );
-        assert_eq!(*order.lock(), vec!["t0-pre", "t1", "t0-post"]);
-        assert_eq!(sched.switches(), 1);
-        assert!(sched.all_finished());
-    }
-
-    #[test]
-    fn hit_count_targets_nth_occurrence() {
-        let point = iid!();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        run_two(
-            SchedulePlan {
-                first: Tid(0),
-                breakpoint: Some(Breakpoint {
-                    iid: point,
-                    when: BreakWhen::After,
-                    hit: 3,
-                }),
-            },
-            move |sc| {
-                for i in 0..5 {
-                    o0.lock().push(format!("t0-{i}"));
-                    sc.gate_after(Tid(0), point);
-                }
-            },
-            move |_| o1.lock().push("t1".to_string()),
-        );
-        assert_eq!(
-            *order.lock(),
-            vec!["t0-0", "t0-1", "t0-2", "t1", "t0-3", "t0-4"]
-        );
-    }
-
-    #[test]
-    fn unhit_breakpoint_degrades_to_sequential() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
-        let sched = run_two(
-            SchedulePlan {
-                first: Tid(0),
-                breakpoint: Some(Breakpoint {
-                    iid: iid!(), // never gated on
-                    when: BreakWhen::After,
-                    hit: 1,
-                }),
-            },
-            move |_| o0.lock().push(0),
-            move |_| o1.lock().push(1),
-        );
-        assert_eq!(*order.lock(), vec![0, 1]);
-        assert_eq!(sched.switches(), 0);
-    }
-
-    #[test]
-    fn recorded_log_matches_threaded_and_replays() {
         let point = iid!();
         // Bodies with a non-matching gate before the firing one, so the
         // nth_gate coordinate is exercised.
@@ -1156,9 +722,6 @@ mod step_tests {
         run_two_stepped(&rec, b0, b1);
         assert_eq!(*order.lock(), vec!["t0-a", "t1", "t0-b"]);
         let log = rec.take_switch_log();
-        // Byte-identical coordinates to what the threaded recorder logs for
-        // the same bodies (see `recorded_switch_log_replays_the_same_
-        // interleaving` above).
         assert_eq!(
             log,
             vec![SwitchPoint {
@@ -1168,6 +731,8 @@ mod step_tests {
             }]
         );
 
+        // Replay with no breakpoint at all: the log alone must reproduce
+        // the interleaving.
         let rep = Arc::new(StepScheduler::replaying(2, Tid(0), log));
         let order = Arc::new(Mutex::new(Vec::new()));
         let (b0, b1) = mk_bodies(&order);
@@ -1209,9 +774,8 @@ mod step_tests {
     #[test]
     fn self_handoff_when_peer_finished_is_counted() {
         // The breakpoint fires on the *second* thread after the first
-        // already finished: next_runnable wraps around to self, the switch
-        // is counted and (in record mode) logged — mirroring the threaded
-        // scheduler exactly.
+        // already finished: next_runnable wraps around to self, and the
+        // switch is counted and (in record mode) logged.
         let point = iid!();
         let rec = Arc::new(StepScheduler::recording(
             2,

@@ -30,7 +30,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use kernelsim::{run_one, BugId, BugSwitches, ExecMode, MachinePool, MemoryModel};
+use kernelsim::{run_one, BugId, BugSwitches, MachinePool, MemoryModel};
 use oemu::{AccessKind, AccessRecord, BarrierKind, Iid, ScheduleTrace, Tid, TraceEvent};
 use ozz::hints::{calc_hints_for, filter_out, HintKind, PairSide, SchedHint};
 use ozz::mti::Mti;
@@ -107,10 +107,8 @@ impl Exploration {
 /// `(sti.calls[i], sti.calls[j])` on a `bugs` kernel, executing each in
 /// record mode on a pooled machine with per-pair setup snapshot reuse —
 /// exactly the fuzzer's execution discipline. Uses the process-default
-/// executor ([`ExecMode::from_env`], stepped unless overridden — the cheap
-/// one for enumeration) and memory model ([`MemoryModel::from_env`], TSO
-/// unless overridden); [`explore_pair_with_mode`] pins the executor and
-/// [`explore_pair_under`] pins both.
+/// memory model ([`MemoryModel::from_env`], TSO unless overridden);
+/// [`explore_pair_under`] pins it.
 pub fn explore_pair(
     bugs: &BugSwitches,
     sti: &Sti,
@@ -118,39 +116,23 @@ pub fn explore_pair(
     j: usize,
     bound: &Bound,
 ) -> Exploration {
-    explore_pair_with_mode(bugs, sti, i, j, bound, ExecMode::from_env())
+    explore_pair_under(bugs, sti, i, j, bound, MemoryModel::from_env())
 }
 
-/// [`explore_pair`] with the executor pinned, so an exploration can be
-/// compared across executors in one process regardless of `OZZ_EXEC`. The
-/// memory model still follows `OZZ_MEMMODEL` (TSO when unset).
-pub fn explore_pair_with_mode(
-    bugs: &BugSwitches,
-    sti: &Sti,
-    i: usize,
-    j: usize,
-    bound: &Bound,
-    mode: ExecMode,
-) -> Exploration {
-    explore_pair_under(bugs, sti, i, j, bound, mode, MemoryModel::from_env())
-}
-
-/// [`explore_pair`] with both the executor and the memory model pinned.
-/// The machine boots under `model`, admissibility (which barriers bound the
-/// delay and version groups) is judged by `model`'s predicates, and every
-/// recorded trace carries the model tag, so replays stay on-model.
+/// [`explore_pair`] with the memory model pinned. The machine boots under
+/// `model`, admissibility (which barriers bound the delay and version
+/// groups) is judged by `model`'s predicates, and every recorded trace
+/// carries the model tag, so replays stay on-model.
 pub fn explore_pair_under(
     bugs: &BugSwitches,
     sti: &Sti,
     i: usize,
     j: usize,
     bound: &Bound,
-    mode: ExecMode,
     model: MemoryModel,
 ) -> Exploration {
     let pool = MachinePool::new();
     let m = pool.checkout_with_model(bugs, model);
-    m.kctx().set_exec_mode(mode);
     let traces = profile_sti_on(m.kctx(), sti);
     let (hints, truncated) =
         enumerate_schedules(&traces[i].events, &traces[j].events, bound, model);
@@ -406,7 +388,7 @@ pub fn differential_pair_under(
     bound: &Bound,
     model: MemoryModel,
 ) -> Differential {
-    let exploration = explore_pair_under(bugs, sti, i, j, bound, ExecMode::from_env(), model);
+    let exploration = explore_pair_under(bugs, sti, i, j, bound, model);
 
     let mut replay_failures = 0;
     for s in exploration.crashing() {
@@ -625,9 +607,8 @@ mod tests {
         // admissible schedule space is a superset of TSO's for any pair.
         let case = litmus_case("fget").unwrap();
         let b = Bound::default();
-        let mode = ExecMode::Stepped;
-        let tso = explore_pair_under(&case.bugs, &case.sti, 0, 1, &b, mode, MemoryModel::Tso);
-        let arm = explore_pair_under(&case.bugs, &case.sti, 0, 1, &b, mode, MemoryModel::Arm);
+        let tso = explore_pair_under(&case.bugs, &case.sti, 0, 1, &b, MemoryModel::Tso);
+        let arm = explore_pair_under(&case.bugs, &case.sti, 0, 1, &b, MemoryModel::Arm);
         assert!(
             arm.schedules.len() >= tso.schedules.len(),
             "arm admits {} schedules, tso {}",

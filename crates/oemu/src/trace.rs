@@ -283,6 +283,10 @@ impl ScheduleTrace {
     /// pluggable models); `v2` requires an explicit `model` line; `v3`
     /// additionally requires the `sparse` marker (the version exists only
     /// for sparse traces).
+    ///
+    /// A trace describes one pair, so every tid must be 0 or 1, and it
+    /// holds at most one `switch` line: recording never emits a second one,
+    /// and the step executor can only resume in LIFO order.
     pub fn parse(text: &str) -> Result<ScheduleTrace, String> {
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
         let version = match lines.next() {
@@ -305,11 +309,11 @@ impl ScheduleTrace {
             let fields: Vec<&str> = line.split_whitespace().collect();
             let ctx = || format!("bad trace line {line:?}");
             let tid_at = |i: usize| -> Result<Tid, String> {
-                fields
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .map(Tid)
-                    .ok_or_else(ctx)
+                match fields.get(i).and_then(|s| s.parse::<usize>().ok()) {
+                    Some(t @ (0 | 1)) => Ok(Tid(t)),
+                    Some(t) => Err(format!("bad trace line {line:?}: tid {t} is not 0 or 1")),
+                    None => Err(ctx()),
+                }
             };
             let num_at = |i: usize| -> Result<u32, String> {
                 fields
@@ -329,6 +333,9 @@ impl ScheduleTrace {
                     );
                 }
                 "first" => first = Some(tid_at(1)?),
+                "switch" if !switches.is_empty() => {
+                    return Err(format!("bad trace line {line:?}: second switch"));
+                }
                 "switch" => switches.push(SwitchPoint {
                     tid: tid_at(1)?,
                     nth_gate: num_at(2)?,
@@ -550,6 +557,30 @@ mod tests {
         assert!(
             ScheduleTrace::parse("ozz-trace v1\nsparse\nfirst 0\nend\n").is_err(),
             "v1/v2 traces are never sparse"
+        );
+        // A pair trace names CPUs 0 and 1 only, wherever a tid appears.
+        assert!(ScheduleTrace::parse("ozz-trace v1\nfirst 7\nend\n").is_err());
+        let iid = Iid::SYNTHETIC.to_token();
+        for line in [
+            "first 7".to_string(),
+            "switch 2 1 0".to_string(),
+            "switch 0 1 2".to_string(),
+            format!("store 9 {iid} delayed"),
+            format!("load 2 {iid} ver"),
+            format!("rmw 3 {iid}"),
+            format!("barrier 4 {iid} mb"),
+            "flush 5 1".to_string(),
+        ] {
+            let text = format!("ozz-trace v3\nmodel tso\nsparse\nfirst 0\n{line}\nend\n");
+            let err = ScheduleTrace::parse(&text).expect_err(&line);
+            assert!(err.contains(&line), "the error names the line: {err}");
+        }
+        // At most one switch: the step executor resumes in LIFO order only.
+        let err = ScheduleTrace::parse("ozz-trace v1\nfirst 0\nswitch 0 1 1\nswitch 1 1 0\nend\n")
+            .expect_err("a second switch line is rejected");
+        assert!(
+            err.contains("switch 1 1 0"),
+            "the error names the line: {err}"
         );
     }
 }

@@ -5,8 +5,7 @@
 //! diagnoses with embedded schedule traces, and the per-shard broadcast
 //! protocol state. These tests enforce the strongest form of that claim:
 //! a campaign halted mid-budget and resumed **in a fresh process** must
-//! render byte-identically to an uninterrupted run — for multiple seeds
-//! and under both executors.
+//! render byte-identically to an uninterrupted run — for multiple seeds.
 //!
 //! The fresh process is this same test binary re-executed with
 //! `resume_helper --exact`: the helper is an env-gated test that resumes
@@ -15,7 +14,6 @@
 
 use std::path::PathBuf;
 
-use kernelsim::ExecMode;
 use ozz::campaign::{CampaignBuilder, CampaignReport};
 
 const SHARDS: usize = 3;
@@ -56,45 +54,35 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn exec_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Stepped => "stepped",
-        ExecMode::Threaded => "threaded",
-    }
-}
-
 /// Runs the uninterrupted reference campaign in-process.
-fn full_run(seed: u64, mode: ExecMode) -> CampaignReport {
+fn full_run(seed: u64) -> CampaignReport {
     CampaignBuilder::new(seed)
         .shards(SHARDS)
         .workers(WORKERS)
         .budget(BUDGET)
         .epoch_mtis(EPOCH_MTIS)
-        .exec_mode(mode)
         .run()
 }
 
 /// Halts a campaign mid-budget, writing the checkpoint to `ckpt`.
-fn halted_run(seed: u64, mode: ExecMode, ckpt: &PathBuf) -> CampaignReport {
+fn halted_run(seed: u64, ckpt: &PathBuf) -> CampaignReport {
     CampaignBuilder::new(seed)
         .shards(SHARDS)
         .workers(WORKERS)
         .budget(BUDGET)
         .epoch_mtis(EPOCH_MTIS)
-        .exec_mode(mode)
         .checkpoint_to(ckpt)
         .halt_after_epochs(HALT_AFTER)
         .run()
 }
 
-fn assert_resumes_identically_in_fresh_process(seed: u64, mode: ExecMode) {
-    let tag = format!("{seed}-{}", exec_name(mode));
-    let dir = scratch_dir(&tag);
+fn assert_resumes_identically_in_fresh_process(seed: u64) {
+    let dir = scratch_dir(&seed.to_string());
     let ckpt = dir.join("campaign.ckpt");
     let out = dir.join("resumed.txt");
 
-    let reference = render(&full_run(seed, mode));
-    let halted = halted_run(seed, mode, &ckpt);
+    let reference = render(&full_run(seed));
+    let halted = halted_run(seed, &ckpt);
     assert!(
         halted.halted,
         "seed {seed}: the campaign must halt mid-budget"
@@ -117,17 +105,14 @@ fn assert_resumes_identically_in_fresh_process(seed: u64, mode: ExecMode) {
         .args(["resume_helper", "--exact", "--nocapture"])
         .env("OZZ_RESUME_CHECKPOINT", &ckpt)
         .env("OZZ_RESUME_OUT", &out)
-        .env("OZZ_EXEC", exec_name(mode))
         .status()
         .expect("spawn resume helper process");
     assert!(status.success(), "seed {seed}: resume helper failed");
 
     let resumed = std::fs::read_to_string(&out).expect("helper wrote its render");
     assert_eq!(
-        resumed,
-        reference,
-        "seed {seed} ({}): fresh-process resume diverged from the uninterrupted run",
-        exec_name(mode)
+        resumed, reference,
+        "seed {seed}: fresh-process resume diverged from the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -148,41 +133,59 @@ fn resume_helper() {
     std::fs::write(&out, render(&report)).expect("write the resumed render");
 }
 
+/// A checkpoint embeds each found bug's schedule trace, and loading it runs
+/// those traces through the trace parser. A trace corrupted inside the
+/// checkpoint — a CPU outside the pair, or a second `switch` — must fail
+/// the resume with `InvalidData` naming the line, before any shard runs.
+#[test]
+fn checkpoint_with_a_corrupt_trace_fails_to_resume() {
+    let dir = scratch_dir("corrupt");
+    let ckpt = dir.join("campaign.ckpt");
+    assert!(halted_run(2024, &ckpt).halted);
+    let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+    assert!(
+        CampaignBuilder::resume_from(&ckpt).is_ok(),
+        "the intact checkpoint loads"
+    );
+
+    let lines: Vec<&str> = text.lines().collect();
+    let first = lines
+        .iter()
+        .position(|l| l.starts_with("first "))
+        .expect("the checkpoint embeds a found bug's trace");
+    let switch = lines
+        .iter()
+        .position(|l| l.starts_with("switch "))
+        .expect("the embedded trace records its handoff");
+    // Each corruption replaces one line in place, so every blob keeps its
+    // line count and only the trace parser can object.
+    for (at, bad, why) in [
+        (first, "first 7".to_string(), "tid 7 is not 0 or 1"),
+        (switch + 1, lines[switch].to_string(), "second switch"),
+    ] {
+        let mut edited = lines.clone();
+        edited[at] = &bad;
+        let path = dir.join("corrupt.ckpt");
+        std::fs::write(&path, edited.join("\n") + "\n").expect("write corrupt checkpoint");
+        let Err(err) = CampaignBuilder::resume_from(&path) else {
+            panic!("a checkpoint with {bad:?} at line {} resumed", at + 1);
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&bad) && msg.contains(why),
+            "the error names the line and says {why:?}: {msg}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fresh_process_resume_is_byte_identical_seed_2024() {
-    assert_resumes_identically_in_fresh_process(2024, ExecMode::from_env());
+    assert_resumes_identically_in_fresh_process(2024);
 }
 
 #[test]
 fn fresh_process_resume_is_byte_identical_seed_7() {
-    assert_resumes_identically_in_fresh_process(7, ExecMode::from_env());
-}
-
-#[test]
-fn fresh_process_resume_crosses_executors() {
-    // The checkpoint stores no executor state: a campaign halted under one
-    // executor and resumed under the *other* must still match the
-    // reference (which itself is executor-invariant).
-    let reference = render(&full_run(2024, ExecMode::Stepped));
-    let tag = "cross-exec";
-    let dir = scratch_dir(tag);
-    let ckpt = dir.join("campaign.ckpt");
-    let out = dir.join("resumed.txt");
-    let halted = halted_run(2024, ExecMode::Threaded, &ckpt);
-    assert!(halted.halted);
-    let exe = std::env::current_exe().expect("test binary path");
-    let status = std::process::Command::new(exe)
-        .args(["resume_helper", "--exact", "--nocapture"])
-        .env("OZZ_RESUME_CHECKPOINT", &ckpt)
-        .env("OZZ_RESUME_OUT", &out)
-        .env("OZZ_EXEC", "stepped")
-        .status()
-        .expect("spawn resume helper process");
-    assert!(status.success());
-    let resumed = std::fs::read_to_string(&out).expect("helper wrote its render");
-    assert_eq!(
-        resumed, reference,
-        "halt under threaded + resume under stepped diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_resumes_identically_in_fresh_process(7);
 }

@@ -231,6 +231,111 @@ fn golden_minimized_traces_are_stable() {
     }
 }
 
+/// Sparse replay counts decisions as a multiset: each listed decision must
+/// match an execution of its own. The watch_queue golden's one versioned
+/// load, listed two or three times, must therefore diverge — the run
+/// performs that load once.
+#[test]
+fn repeated_sparse_decisions_diverge() {
+    let bug = BugId::KnownWatchQueuePost;
+    let r = record_reproducer_under(bug, MemoryModel::Tso).expect("watch_queue must record");
+    let min = Triager::new(BugSwitches::only([bug])).minimize(&r);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/watch_queue.min.trace");
+    let text = fs::read_to_string(&path).expect("pinned minimized golden");
+    let (_, trace) = text.split_once("--- trace ---").expect("trace separator");
+    let load = trace
+        .lines()
+        .find(|l| l.starts_with("load 1 ") && l.ends_with(" ver"))
+        .expect("the golden's versioned load");
+    for copies in 1..=3 {
+        let repeated = trace.replace(load, &vec![load; copies].join("\n"));
+        let t = ScheduleTrace::parse(&repeated).expect("repeated trace parses");
+        let rep = replay_trace(BugSwitches::only([bug]), &min.sti, min.i, min.j, &t);
+        assert_eq!(rep.diverged, copies > 1, "{copies} copies of {load:?}");
+    }
+}
+
+/// The trace part of all six pinned files (full and minimized), by name.
+fn golden_trace_bodies() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (stem, _, _) in corpus() {
+        for name in [format!("{stem}.trace"), format!("{stem}.min.trace")] {
+            let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(&name);
+            let text =
+                fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let (_, trace) = text.split_once("--- trace ---").expect("trace separator");
+            out.push((name, trace.trim_start().to_string()));
+        }
+    }
+    out
+}
+
+/// A pair trace names CPUs 0 and 1 only. Rewriting any tid of a pinned
+/// trace to CPU 2 — in `first`, either end of `switch`, or a step line —
+/// must fail at parse time with an error naming the rewritten line.
+#[test]
+fn golden_traces_reject_a_tid_outside_the_pair() {
+    for (name, body) in golden_trace_bodies() {
+        ScheduleTrace::parse(&body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let lines: Vec<&str> = body.lines().collect();
+        let mut rewritten = 0;
+        for (n, line) in lines.iter().enumerate() {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let tid_fields: &[usize] = match fields.first().copied() {
+                Some("first" | "store" | "load" | "rmw" | "barrier" | "flush") => &[1],
+                Some("switch") => &[1, 3],
+                _ => &[],
+            };
+            for &f in tid_fields {
+                let mut bad = fields.clone();
+                bad[f] = "2";
+                let bad_line = bad.join(" ");
+                let mut edited = lines.clone();
+                edited[n] = &bad_line;
+                let err = ScheduleTrace::parse(&edited.join("\n"))
+                    .expect_err(&format!("{name}: {bad_line:?} is rejected"));
+                assert!(
+                    err.contains(&bad_line),
+                    "{name}: the error names the line: {err}"
+                );
+                rewritten += 1;
+            }
+        }
+        assert!(
+            rewritten >= 3,
+            "{name}: first, switch and a step were rewritten"
+        );
+    }
+}
+
+/// Recording emits at most one `switch`, and every pinned trace holds
+/// exactly one. The step executor resumes a suspended CPU in stack order
+/// only, so a second `switch` line must fail at parse time, naming it.
+#[test]
+fn golden_traces_hold_one_switch_and_reject_a_second() {
+    for (name, body) in golden_trace_bodies() {
+        let trace = ScheduleTrace::parse(&body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(trace.switches.len(), 1, "{name}: one recorded handoff");
+        let switch = body
+            .lines()
+            .find(|l| l.starts_with("switch "))
+            .expect("the switch line");
+        let sp = trace.switches[0];
+        let back = format!("switch {} 1 {}", sp.to.0, sp.tid.0);
+        for second in [switch.to_string(), back] {
+            let doubled = body.replacen(switch, &format!("{switch}\n{second}"), 1);
+            let err = ScheduleTrace::parse(&doubled)
+                .expect_err(&format!("{name}: a second {second:?} is rejected"));
+            assert!(
+                err.contains(&second),
+                "{name}: the error names the line: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn golden_traces_do_not_crash_the_patched_kernel() {
     // The same schedule on the fixed kernel must not report the pinned

@@ -153,6 +153,22 @@ fn every_buggy_variant_exposes_its_symptom() {
 }
 
 #[test]
+fn directed_sweep_alone_exposes_the_golden_trio() {
+    // One bug per reorder flavour (the golden-trace corpus) needs no
+    // campaign fallback: the directed sweep alone surfaces its title.
+    for bug in [
+        BugId::TlsSkProt,
+        BugId::RdsClearBit,
+        BugId::KnownWatchQueuePost,
+    ] {
+        assert!(
+            directed_sweep(bug, &BugSwitches::only([bug])),
+            "{bug}: the directed sweep must expose the bug on its own"
+        );
+    }
+}
+
+#[test]
 fn fixed_variant_never_reports_under_the_same_sweep() {
     let fixed = BugSwitches::none();
     for bug in all_bugs() {

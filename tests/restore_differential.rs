@@ -2,12 +2,12 @@
 //!
 //! The undo journal's contract is *invisibility*: an incremental restore
 //! must land the machine on state byte-identical to what the full
-//! `clone_from` fallback produces — for any workload, any memory model,
-//! and either executor. These tests drive twin machines (one journaling,
-//! one with `set_force_full_restore`) through identical randomized MTI
-//! batches and compare [`Kctx::state_digest`] after every restore, then
-//! pin the journal's edge cases: nested snapshots, restore-after-restore,
-//! and `zero_range` over never-written words.
+//! `clone_from` fallback produces — for any workload and any memory
+//! model. These tests drive twin machines (one journaling, one with
+//! `set_force_full_restore`) through identical randomized MTI batches and
+//! compare [`Kctx::state_digest`] after every restore, then pin the
+//! journal's edge cases: nested snapshots, restore-after-restore, and
+//! `zero_range` over never-written words.
 //!
 //! Counter assertions ride along: the journaling twin must take *zero*
 //! full-restore fallbacks (the benchmark's happy-path claim), while the
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use kernelsim::{BugId, BugSwitches, ExecMode, Kctx, MemoryModel, PooledMachine};
+use kernelsim::{BugId, BugSwitches, Kctx, MemoryModel, PooledMachine};
 use kutil::DetRng;
 use oemu::{Iid, Tid};
 use ozz::hints::calc_hints;
@@ -39,78 +39,71 @@ fn corpus(bug: BugId, k: &Arc<Kctx>, cap: usize) -> Vec<Mti> {
 
 /// Boots the twins: `dirty` restores through the undo journal, `full` is
 /// forced down the pre-journal `clone_from` path.
-fn twins(model: MemoryModel, mode: ExecMode) -> (PooledMachine, PooledMachine) {
+fn twins(model: MemoryModel) -> (PooledMachine, PooledMachine) {
     let dirty = PooledMachine::boot_with_model(BugSwitches::all(), model);
     let full = PooledMachine::boot_with_model(BugSwitches::all(), model);
-    dirty.kctx().set_exec_mode(mode);
-    full.kctx().set_exec_mode(mode);
     full.kctx().set_force_full_restore(true);
     (dirty, full)
 }
 
 #[test]
-fn incremental_restore_is_byte_identical_across_models_and_executors() {
+fn incremental_restore_is_byte_identical_across_models() {
     for (mi, model) in [MemoryModel::Tso, MemoryModel::Pso, MemoryModel::Arm]
         .into_iter()
         .enumerate()
     {
-        for (ei, mode) in [ExecMode::Stepped, ExecMode::Threaded]
-            .into_iter()
-            .enumerate()
-        {
-            let (dirty, full) = twins(model, mode);
-            let mtis = corpus(BugId::KnownWatchQueuePost, dirty.kctx(), 24);
-            dirty.kctx().reset();
-            full.kctx().reset();
+        let (dirty, full) = twins(model);
+        let mtis = corpus(BugId::KnownWatchQueuePost, dirty.kctx(), 24);
+        dirty.kctx().reset();
+        full.kctx().reset();
 
-            let snap_d = dirty.kctx().snapshot();
-            let snap_f = full.kctx().snapshot();
+        let snap_d = dirty.kctx().snapshot();
+        let snap_f = full.kctx().snapshot();
+        assert_eq!(
+            dirty.kctx().state_digest(),
+            full.kctx().state_digest(),
+            "{model:?}: twins diverged before any restore"
+        );
+
+        let mut rng = DetRng::new(0xd1ff + 16 * mi as u64);
+        for round in 0..6u32 {
+            let batch = 1 + rng.gen_range(0..4u64);
+            for _ in 0..batch {
+                let pick = rng.gen_range(0..mtis.len() as u64) as usize;
+                for m in [&dirty, &full] {
+                    mtis[pick].run_setup(m.kctx());
+                    mtis[pick].run_pair_pooled(m);
+                }
+            }
+            dirty.kctx().restore(&snap_d);
+            full.kctx().restore(&snap_f);
             assert_eq!(
                 dirty.kctx().state_digest(),
                 full.kctx().state_digest(),
-                "{model:?}/{mode:?}: twins diverged before any restore"
+                "{model:?} round {round}: incremental restore \
+                 landed on different state than the full path"
             );
-
-            let mut rng = DetRng::new(0xd1ff + 16 * mi as u64 + ei as u64);
-            for round in 0..6u32 {
-                let batch = 1 + rng.gen_range(0..4u64);
-                for _ in 0..batch {
-                    let pick = rng.gen_range(0..mtis.len() as u64) as usize;
-                    for m in [&dirty, &full] {
-                        mtis[pick].run_setup(m.kctx());
-                        mtis[pick].run_pair_pooled(m);
-                    }
-                }
-                dirty.kctx().restore(&snap_d);
-                full.kctx().restore(&snap_f);
-                assert_eq!(
-                    dirty.kctx().state_digest(),
-                    full.kctx().state_digest(),
-                    "{model:?}/{mode:?} round {round}: incremental restore \
-                     landed on different state than the full path"
-                );
-            }
-
-            let d = dirty.kctx().engine.stats();
-            assert_eq!(
-                d.restore_full_fallbacks, 0,
-                "{model:?}/{mode:?}: the journaling twin fell back"
-            );
-            assert!(d.restores_incremental >= 6, "journal path never taken");
-            assert!(d.restore_words_replayed > 0, "nothing was ever rolled back");
-            let f = full.kctx().engine.stats();
-            assert_eq!(
-                f.restores_incremental, 0,
-                "{model:?}/{mode:?}: the forced twin journaled"
-            );
-            assert!(f.restore_full_fallbacks >= 6);
         }
+
+        let d = dirty.kctx().engine.stats();
+        assert_eq!(
+            d.restore_full_fallbacks, 0,
+            "{model:?}: the journaling twin fell back"
+        );
+        assert!(d.restores_incremental >= 6, "journal path never taken");
+        assert!(d.restore_words_replayed > 0, "nothing was ever rolled back");
+        let f = full.kctx().engine.stats();
+        assert_eq!(
+            f.restores_incremental, 0,
+            "{model:?}: the forced twin journaled"
+        );
+        assert!(f.restore_full_fallbacks >= 6);
     }
 }
 
 #[test]
 fn nested_snapshots_and_repeat_restores_match_the_full_path() {
-    let (dirty, full) = twins(MemoryModel::Tso, ExecMode::Stepped);
+    let (dirty, full) = twins(MemoryModel::Tso);
     let mtis = corpus(BugId::KnownWatchQueuePost, dirty.kctx(), 12);
     dirty.kctx().reset();
     full.kctx().reset();
@@ -172,7 +165,7 @@ fn zero_range_over_never_written_words_restores_exactly() {
     // written before journal nothing (removing an absent key is a no-op),
     // so a restore across an allocate-write-free storm must still be
     // byte-exact and cheap.
-    let (dirty, full) = twins(MemoryModel::Tso, ExecMode::Stepped);
+    let (dirty, full) = twins(MemoryModel::Tso);
     dirty.kctx().reset();
     full.kctx().reset();
 
