@@ -66,16 +66,6 @@ for m in tso pso arm; do
     OZZ_MEMMODEL=$m cargo test -q --offline --test triage_minimal
 done
 
-echo "== trace minimization bench (full corpus shrink + replay cost) =="
-cargo build --release --offline -p bench --bin trace_minimize
-./target/release/trace_minimize
-cat BENCH_trace_minimize.json
-for key in events_before_median events_after_median reduction_pct_median \
-    replays_median minimize_wall_ms_median; do
-    grep -q "\"$key\"" BENCH_trace_minimize.json \
-        || { echo "error: $key missing from BENCH_trace_minimize.json" >&2; exit 1; }
-done
-
 echo "== bounded exhaustive explorer smoke (hint-generator differential) =="
 cargo run -q --release --offline -p modelcheck --bin explore -- watch_queue
 

@@ -335,6 +335,14 @@ fn read_fuzzer(r: &mut TextReader<'_>) -> Result<FuzzerCheckpoint, ParseError> {
         found.push(read_bug(r)?);
     }
     let crash_counts = read_tally_map(r, "crashes")?;
+    // A fuzzer records a diagnosis the first time it sights a title, so
+    // every tallied title has one; the campaign's merge relies on it.
+    if let Some(title) = crash_counts
+        .keys()
+        .find(|t| !found.iter().any(|b| &b.title == *t))
+    {
+        return Err(format!("crash tally {title:?} has no diagnosed bug"));
+    }
     let stats = FuzzStats {
         stis_run: r.parse_field("stis_run")?,
         mtis_run: r.parse_field("mtis_run")?,

@@ -23,7 +23,7 @@
 
 use kernelsim::{
     execute, BugId, BugSwitches, ExecRequest, Kctx, MachinePool, PooledMachine, ReorderType,
-    RunOutcome, Syscall,
+    ReplayReport, RunOutcome, Syscall,
 };
 use kutil::fnv1a64;
 use oemu::ScheduleTrace;
@@ -156,29 +156,23 @@ pub fn replay_trace(
     }
 }
 
-/// [`replay_trace`] on a pooled machine the caller has already reset:
-/// runs the setup prefix, then the pair slaved to `trace`. The machine's
+/// [`replay_trace`] on a pooled machine in boot state: runs the setup
+/// prefix, then the pair slaved to `trace`, and returns the outcome with
+/// the replay report. It renders no state digest: a caller that needs one
+/// reads [`Kctx::state_digest`] off the machine afterwards. The machine's
 /// boot model must match the trace's — [`kernelsim::MachinePool`]
-/// checkouts key on it. Trace minimization runs hundreds of candidate
-/// replays per bug; reusing one pooled machine avoids a boot per
-/// candidate.
+/// checkouts key on it. Trace minimization replays every candidate this
+/// way, so a candidate costs one replay and one reset, not a boot.
 pub fn replay_trace_on(
     m: &PooledMachine,
     sti: &Sti,
     i: usize,
     j: usize,
     trace: &ScheduleTrace,
-) -> TraceReplay {
-    let k = m.kctx();
-    run_setup_prefix(k, &sti.calls, i, j);
-    let (outcome, report) = m
-        .execute(ExecRequest::replay(trace, sti.calls[i], sti.calls[j]))
-        .into_replayed();
-    TraceReplay {
-        outcome,
-        digest: k.state_digest(),
-        diverged: report.diverged,
-    }
+) -> (RunOutcome, ReplayReport) {
+    run_setup_prefix(m.kctx(), &sti.calls, i, j);
+    m.execute(ExecRequest::replay(trace, sti.calls[i], sti.calls[j]))
+        .into_replayed()
 }
 
 /// Replays a fuzzer-found bug from its embedded trace and checks full

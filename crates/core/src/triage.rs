@@ -11,9 +11,7 @@
 //!    sparse form, [`ScheduleTrace::sparsify`]) and delta-debug that
 //!    decision set plus the switch script down to a fixed point, accepting
 //!    a candidate only if its replay still produces the same oracle
-//!    [`Verdict`] without divergence. Candidates replay on one pooled
-//!    machine ([`crate::repro::replay_trace_on`]), so a minimization costs
-//!    replays, not boots.
+//!    [`Verdict`] without divergence.
 //! 2. **Input shrinking** (same entry point): drop the STI calls after the
 //!    pair, then delta-debug the setup prefix under the minimized trace,
 //!    remapping the pair indices.
@@ -24,15 +22,45 @@
 //!    already-fixed build) reports [`BisectOutcome::Inconclusive`], never
 //!    a wrong patch.
 //!
+//! # What a triage costs
+//!
+//! Replay from a reset machine is deterministic, so a [`Triager`] pays
+//! once for each thing it uses:
+//!
+//! - **One boot per build.** The triager owns one [`MachinePool`] and
+//!   shelves one machine of its own build, which every minimization
+//!   candidate and every bisection probe on that build reuse. A probe on
+//!   another build boots, replays once (the memo answers repeats) and
+//!   drops its machine. A triage therefore boots once per distinct build
+//!   it replays on: two for a single-bug reproducer (its own build and the
+//!   fixed one), while holding at most one idle machine.
+//! - **One replay per distinct candidate.** Candidate outcomes (crash
+//!   reports, return values, divergence) are memoized, keyed by the build,
+//!   the migration override, the STI, the pair and the trace (which names
+//!   its memory model). The memo is cleared when a minimization starts and
+//!   serves it and the bisection that follows: on a single-bug build the
+//!   bisection's first and culprit probes are the minimization's final
+//!   verification, and cost nothing.
+//! - **One state digest per minimization.** Candidate replays render no
+//!   digest. The final verification (or the sparse-projection fallback)
+//!   always replays, because it reads the post-run machine, and renders
+//!   the one digest [`Minimized::digest_fnv`] fingerprints. Bisection
+//!   renders none.
+//!
 //! The shrinking loop is deterministic (no RNG) and runs to a fixed
 //! point, so minimization is idempotent and byte-reproducible — pinned by
-//! `tests/triage_minimal.rs` across both executors and all three memory
-//! models, and by golden minimized traces under `tests/golden/`.
+//! `tests/triage_minimal.rs` under all three memory models, by the
+//! corpus-wide `tests/golden/triage_table.txt`, and by golden minimized
+//! traces under `tests/golden/`.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt;
 use std::time::Instant;
 
-use kernelsim::{BugId, BugSwitches, MachinePool, RunOutcome, Syscall};
+use kernelsim::{BugId, BugSwitches, ExecRequest, Kctx, MachinePool, RunOutcome, Syscall};
 use kutil::fnv1a64;
+use kutil::sync::Mutex;
 use oemu::{MemoryModel, ScheduleTrace};
 
 use crate::fuzzer::{FoundBug, FuzzConfig, Fuzzer};
@@ -150,14 +178,20 @@ pub fn record_reproducer_under(bug: BugId, model: MemoryModel) -> Option<Reprodu
             k.set_migration_override(true);
         }
         mti.run_setup(k);
-        let rec = mti.run_pair_pooled_recorded(&m);
+        // Record without a state digest: the sweep keeps only the trace
+        // of the run that shows the symptom.
+        mti.install_controls(k);
+        let (a, b) = mti.pair();
+        let (outcome, trace) = m
+            .execute(ExecRequest::recorded(mti.plan(), a, b))
+            .into_recorded();
         // The wrong-value verdict only means something on the pair that
         // ends in the value-returning call (oracle-matrix semantics).
         let hit = match (&verdict, bug) {
             (Verdict::RetBZero, BugId::KnownTlsErr) => {
-                mti.pair().1 == (Syscall::TlsPollErr { fd: 0 }) && rec.outcome.ret_b == 0
+                b == (Syscall::TlsPollErr { fd: 0 }) && outcome.ret_b == 0
             }
-            _ => verdict.holds(&rec.outcome),
+            _ => verdict.holds(&outcome),
         };
         if hit {
             return Some(Reproducer {
@@ -165,7 +199,7 @@ pub fn record_reproducer_under(bug: BugId, model: MemoryModel) -> Option<Reprodu
                 sti: (*mti.sti).clone(),
                 i: mti.i,
                 j: mti.j,
-                trace: rec.trace,
+                trace,
                 verdict,
                 migration_override: migration,
             });
@@ -210,8 +244,10 @@ pub struct MinimizeStats {
     pub calls_before: usize,
     /// STI length after shrinking.
     pub calls_after: usize,
-    /// Candidate replays spent (sparsification check, trace ddmin, STI
-    /// ddmin, final verification).
+    /// Candidate replays executed (sparsification check, trace ddmin, STI
+    /// ddmin, final verification). A candidate the minimization already
+    /// replayed is answered from the triager's memo and not counted again;
+    /// the final verification always replays.
     pub replays: u64,
     /// Wall time of the whole minimization.
     pub wall_ms: f64,
@@ -270,18 +306,82 @@ pub struct TriageResult {
     pub report: TriageReport,
 }
 
-/// The triage driver, configured with the buggy build under scrutiny.
-#[derive(Clone, Debug)]
+/// The inputs that decide a candidate replay's outcome. The trace names
+/// its memory model, which is the model the machine boots under.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct ReplayKey {
+    build: BugSwitches,
+    migration_override: bool,
+    sti: Sti,
+    pair: (usize, usize),
+    trace: ScheduleTrace,
+}
+
+impl ReplayKey {
+    fn new(
+        build: &BugSwitches,
+        r: &Reproducer,
+        sti: &Sti,
+        i: usize,
+        j: usize,
+        trace: &ScheduleTrace,
+    ) -> ReplayKey {
+        ReplayKey {
+            build: build.clone(),
+            migration_override: r.migration_override,
+            sti: sti.clone(),
+            pair: (i, j),
+            trace: trace.clone(),
+        }
+    }
+}
+
+/// A replay's outcome and whether it diverged from its trace.
+type Replayed = (RunOutcome, bool);
+
+/// The candidate outcomes replayed since the current minimization began,
+/// and how many replays computing them took.
+#[derive(Default)]
+struct Memo {
+    outcomes: HashMap<ReplayKey, Replayed>,
+    replays: u64,
+}
+
+/// The triage driver, configured with the buggy build under scrutiny. It
+/// keeps one pooled machine of that build and the candidate memo of the
+/// current minimization (see the module docs).
 pub struct Triager {
     /// The build the bug was observed on — the candidate set bisection
     /// searches, and the build minimization replays against.
     pub bugs: BugSwitches,
+    pool: MachinePool,
+    memo: Mutex<Memo>,
+}
+
+impl fmt::Debug for Triager {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Triager")
+            .field("bugs", &self.bugs)
+            .field("machine_boots", &self.machine_boots())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Triager {
     /// A triager for the given buggy build.
     pub fn new(bugs: BugSwitches) -> Triager {
-        Triager { bugs }
+        Triager {
+            bugs,
+            pool: MachinePool::new(),
+            memo: Mutex::default(),
+        }
+    }
+
+    /// Machines this triager has booted over its lifetime. One triage
+    /// boots once per distinct build it replays on; only the machine of the
+    /// triager's own build is kept for the next one.
+    pub fn machine_boots(&self) -> u64 {
+        self.pool.boots()
     }
 
     /// Minimizes `r`'s trace and STI to a fixed point (see the module
@@ -289,22 +389,20 @@ impl Triager {
     /// reproducer returns it byte-identically.
     pub fn minimize(&self, r: &Reproducer) -> Minimized {
         let start = Instant::now();
-        let pool = MachinePool::new();
-        let m = pool.checkout_with_model(&self.bugs, r.trace.model);
-        let mut replays = 0u64;
+        *self.memo.lock() = Memo::default();
         let events_before = r.trace.event_count();
         let calls_before = r.sti.calls.len();
-
         // Candidate acceptance: a non-diverged replay with the verdict.
-        let mut check = |sti: &Sti, i: usize, j: usize, t: &ScheduleTrace| -> Option<String> {
-            replays += 1;
-            let k = m.kctx();
-            k.reset();
-            if r.migration_override {
-                k.set_migration_override(true);
-            }
-            let rep = replay_trace_on(&m, sti, i, j, t);
-            (!rep.diverged && r.verdict.holds(&rep.outcome)).then_some(rep.digest)
+        let check = |sti: &Sti, i: usize, j: usize, t: &ScheduleTrace| {
+            self.fires(&self.bugs, r, sti, i, j, t)
+        };
+        let stats = |sti: &Sti, trace: &ScheduleTrace| MinimizeStats {
+            events_before,
+            events_after: trace.event_count(),
+            calls_before,
+            calls_after: sti.calls.len(),
+            replays: self.memo.lock().replays,
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
         };
 
         // 1. Sparse projection. It must reproduce (the decisions plus the
@@ -316,23 +414,17 @@ impl Triager {
         } else {
             r.trace.sparsify()
         };
-        if check(&r.sti, r.i, r.j, &sparse).is_none() {
-            let digest = check(&r.sti, r.i, r.j, &r.trace)
+        if !check(&r.sti, r.i, r.j, &sparse) {
+            let digest_fnv = self
+                .verify(r, &r.sti, r.i, r.j, &r.trace)
                 .expect("the recorded trace must replay its own verdict");
             return Minimized {
                 trace: r.trace.clone(),
                 sti: r.sti.clone(),
                 i: r.i,
                 j: r.j,
-                digest_fnv: fnv1a64(digest.as_bytes()),
-                stats: MinimizeStats {
-                    events_before,
-                    events_after: events_before,
-                    calls_before,
-                    calls_after: calls_before,
-                    replays,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
+                digest_fnv,
+                stats: stats(&r.sti, &r.trace),
             };
         }
 
@@ -340,11 +432,11 @@ impl Triager {
         let mut trace = sparse;
         loop {
             let keep = shrink(trace.steps.len(), |keep| {
-                check(&r.sti, r.i, r.j, &trace.with_step_subset(keep)).is_some()
+                check(&r.sti, r.i, r.j, &trace.with_step_subset(keep))
             });
             let after_steps = trace.with_step_subset(&keep);
             let keep = shrink(after_steps.switches.len(), |keep| {
-                check(&r.sti, r.i, r.j, &after_steps.with_switch_subset(keep)).is_some()
+                check(&r.sti, r.i, r.j, &after_steps.with_switch_subset(keep))
             });
             let next = after_steps.with_switch_subset(&keep);
             let done = next == trace;
@@ -361,27 +453,21 @@ impl Triager {
         let setup: Vec<usize> = (0..r.j).filter(|&x| x != r.i).collect();
         let keep = shrink(setup.len(), |keep| {
             let (sti, i, j) = rebuild_sti(&base, &setup, keep, r.i, r.j);
-            check(&sti, i, j, &trace).is_some()
+            check(&sti, i, j, &trace)
         });
         let (sti, i, j) = rebuild_sti(&base, &setup, &keep, r.i, r.j);
 
         // 4. Final verification — also yields the minimized state digest.
-        let digest = check(&sti, i, j, &trace)
+        let digest_fnv = self
+            .verify(r, &sti, i, j, &trace)
             .expect("every accepted candidate reproduced; the fixed point must too");
         Minimized {
-            stats: MinimizeStats {
-                events_before,
-                events_after: trace.event_count(),
-                calls_before,
-                calls_after: sti.calls.len(),
-                replays,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            },
+            stats: stats(&sti, &trace),
             trace,
             sti,
             i,
             j,
-            digest_fnv: fnv1a64(digest.as_bytes()),
+            digest_fnv,
         }
     }
 
@@ -393,21 +479,14 @@ impl Triager {
     /// search repeats on the remainder to *enumerate* every sufficient
     /// switch; more than one means the patch is genuinely ambiguous and the
     /// outcome is an [`BisectOutcome::Inconclusive`] naming them all —
-    /// never a guess. Returns the probe count alongside the outcome.
+    /// never a guess. Returns the probe count alongside the outcome: every
+    /// verdict consulted, including those answered from the memo.
     pub fn bisect(&self, r: &Reproducer, min: &Minimized) -> (BisectOutcome, u64) {
         let enabled: Vec<BugId> = self.bugs.iter().collect();
-        let pool = MachinePool::new();
         let mut probes = 0u64;
         let mut fires = |set: &BugSwitches| -> bool {
             probes += 1;
-            let m = pool.checkout_with_model(set, min.trace.model);
-            let k = m.kctx();
-            k.reset();
-            if r.migration_override {
-                k.set_migration_override(true);
-            }
-            let rep = replay_trace_on(&m, &min.sti, min.i, min.j, &min.trace);
-            !rep.diverged && r.verdict.holds(&rep.outcome)
+            self.fires(set, r, &min.sti, min.i, min.j, &min.trace)
         };
         if enabled.is_empty() {
             return (
@@ -485,6 +564,70 @@ impl Triager {
                 )
             }
         }
+    }
+
+    /// Whether `r`'s verdict holds on a non-diverged replay of the
+    /// candidate `(sti, i, j, trace)` on `build`. Each distinct candidate
+    /// is replayed once; repeats read the memo.
+    fn fires(
+        &self,
+        build: &BugSwitches,
+        r: &Reproducer,
+        sti: &Sti,
+        i: usize,
+        j: usize,
+        trace: &ScheduleTrace,
+    ) -> bool {
+        let key = ReplayKey::new(build, r, sti, i, j, trace);
+        let mut memo = self.memo.lock();
+        let memo = &mut *memo;
+        let (outcome, diverged) = match memo.outcomes.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                memo.replays += 1;
+                let (replayed, ()) = self.replay(e.key(), |_| ());
+                e.insert(replayed)
+            }
+        };
+        !*diverged && r.verdict.holds(outcome)
+    }
+
+    /// The candidate's final verification on the triager's own build: it
+    /// always replays, records the outcome in the memo, and returns the
+    /// fingerprint of the post-run state digest when `r`'s verdict holds.
+    fn verify(
+        &self,
+        r: &Reproducer,
+        sti: &Sti,
+        i: usize,
+        j: usize,
+        trace: &ScheduleTrace,
+    ) -> Option<u64> {
+        let key = ReplayKey::new(&self.bugs, r, sti, i, j, trace);
+        let ((outcome, diverged), digest) = self.replay(&key, Kctx::state_digest);
+        let holds = !diverged && r.verdict.holds(&outcome);
+        let mut memo = self.memo.lock();
+        memo.replays += 1;
+        memo.outcomes.insert(key, (outcome, diverged));
+        holds.then(|| fnv1a64(digest.as_bytes()))
+    }
+
+    /// Replays `key` on a machine checked out of the pool and lets `after`
+    /// read the post-run machine. Only a machine of the triager's own build
+    /// goes back to the pool: with the memo, a bisection replays on any
+    /// other build at most once, so shelving that machine would only hold
+    /// its memory.
+    fn replay<T>(&self, key: &ReplayKey, after: impl FnOnce(&Kctx) -> T) -> (Replayed, T) {
+        let m = self.pool.checkout_with_model(&key.build, key.trace.model);
+        if key.migration_override {
+            m.kctx().set_migration_override(true);
+        }
+        let (outcome, report) = replay_trace_on(&m, &key.sti, key.pair.0, key.pair.1, &key.trace);
+        let read = after(m.kctx());
+        if key.build == self.bugs {
+            self.pool.checkin(m);
+        }
+        ((outcome, report.diverged), read)
     }
 
     /// The full pipeline: minimize, bisect, render the report.

@@ -11,16 +11,15 @@
 //! reordered values.
 //!
 //! A detected fault records a crash report and unwinds the simulated CPU
-//! with a panic carrying [`CrashSignal`] — the analog of a kernel oops that
-//! kills the offending task. The executor catches it at the syscall
-//! boundary.
+//! with a [`CrashSignal`] payload — the analog of a kernel oops that kills
+//! the offending task. The executor catches it at the syscall boundary.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use kmem::{
-    Fault, FnRegistry, FnRegistrySnapshot, Kmem, KmemSnapshot, LockId, Lockdep, LockdepSnapshot,
-    OracleSink, SinkSnapshot,
+    CrashReport, Fault, FnRegistry, FnRegistrySnapshot, Kmem, KmemSnapshot, LockId, Lockdep,
+    LockdepSnapshot, OracleSink, SinkSnapshot,
 };
 use ksched::StepScheduler;
 use kutil::sync::Mutex;
@@ -56,8 +55,9 @@ pub const EAGAIN: i64 = -11;
 /// Sentinel return of a syscall that died in a simulated oops.
 pub const ECRASH: i64 = -1000;
 
-/// Panic payload of a simulated kernel oops. Carried through `panic_any`
-/// and caught by the syscall runner.
+/// Unwind payload of a simulated kernel oops. Raised with
+/// `std::panic::resume_unwind` (no panic hook runs) and caught by the
+/// syscall runner.
 #[derive(Clone, Debug)]
 pub struct CrashSignal {
     /// Table 3-style crash title.
@@ -425,21 +425,12 @@ impl Kctx {
     pub fn oops(&self, fault: Fault) -> ! {
         // A CrashSignal unwind is the simulated oops mechanism, never an
         // error in the harness itself; every raise site is paired with a
-        // catch_unwind in `exec`. Silence the default "thread panicked"
-        // stderr noise for it (once, process-wide) so campaign output is
-        // the crash reports, not panic backtraces.
-        static QUIET_CRASH_SIGNALS: std::sync::Once = std::sync::Once::new();
-        QUIET_CRASH_SIGNALS.call_once(|| {
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<CrashSignal>().is_none() {
-                    default_hook(info);
-                }
-            }));
-        });
-        let title = fault.title();
-        self.sink.record(fault);
-        std::panic::panic_any(CrashSignal { title });
+        // catch_unwind in `exec`. `resume_unwind` skips the panic hook, so
+        // an oops prints nothing: campaign output is the crash reports.
+        let report = CrashReport::from_fault(fault);
+        let title = report.title.clone();
+        self.sink.record(report);
+        std::panic::resume_unwind(Box::new(CrashSignal { title }));
     }
 
     /// `BUG_ON`-style assertion oracle.

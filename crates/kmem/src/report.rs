@@ -188,12 +188,9 @@ impl OracleSink {
         Self::default()
     }
 
-    /// Records a detected fault.
-    pub fn record(&self, fault: Fault) {
-        self.inner
-            .lock()
-            .reports
-            .push(CrashReport::from_fault(fault));
+    /// Records the report of a detected fault.
+    pub fn record(&self, report: CrashReport) {
+        self.inner.lock().reports.push(report);
     }
 
     /// Takes all reports recorded so far.
@@ -361,10 +358,10 @@ mod tests {
     #[test]
     fn capture_restore_truncates_when_baseline_intact() {
         let sink = OracleSink::new();
-        sink.record(some_fault());
+        sink.record(CrashReport::from_fault(some_fault()));
         let snap = sink.capture();
-        sink.record(some_fault());
-        sink.record(some_fault());
+        sink.record(CrashReport::from_fault(some_fault()));
+        sink.record(CrashReport::from_fault(some_fault()));
         assert!(sink.restore_from(&snap), "truncate path");
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.snapshot(), snap.reports());
@@ -374,7 +371,7 @@ mod tests {
     fn take_invalidates_nonempty_baselines_only() {
         let sink = OracleSink::new();
         let empty = sink.capture();
-        sink.record(some_fault());
+        sink.record(CrashReport::from_fault(some_fault()));
         let nonempty = sink.capture();
         let _ = sink.take();
         // The non-empty baseline is gone: rebuild path.
@@ -397,11 +394,7 @@ mod tests {
     fn sink_collects_and_drains() {
         let sink = OracleSink::new();
         assert!(sink.is_empty());
-        sink.record(Fault {
-            kind: FaultKind::DoubleFree { object: 0x100 },
-            addr: 0x100,
-            in_fn: "kfree",
-        });
+        sink.record(CrashReport::from_fault(some_fault()));
         assert!(sink.has_reports());
         assert_eq!(sink.len(), 1);
         let reports = sink.take();

@@ -31,7 +31,7 @@ use crate::iid::Iid;
 use crate::types::{BarrierKind, MemoryModel, Tid};
 
 /// Where a load's value came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LoadSrc {
     /// Committed memory (the in-order case).
     Memory,
@@ -42,7 +42,7 @@ pub enum LoadSrc {
 }
 
 /// One instrumented engine event, in global execution order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TraceStep {
     /// A store and its delay decision (`delayed`: entered the buffer).
     Store { tid: Tid, iid: Iid, delayed: bool },
@@ -75,7 +75,7 @@ impl TraceStep {
 
 /// A recorded scheduler handoff: after thread `tid`'s `nth_gate`-th gate
 /// call (1-based, counting every gate phase), the token moved to `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SwitchPoint {
     /// The thread that yielded the token.
     pub tid: Tid,
@@ -86,7 +86,7 @@ pub struct SwitchPoint {
 }
 
 /// Everything needed to replay one concurrent pair execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ScheduleTrace {
     /// Memory model of the machine that recorded the trace. Replay must
     /// run under the same model or the recorded decision stream is

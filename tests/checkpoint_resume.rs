@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 
+use kernelsim::BugSwitches;
 use ozz::campaign::{CampaignBuilder, CampaignReport};
 
 const SHARDS: usize = 3;
@@ -177,6 +178,59 @@ fn checkpoint_with_a_corrupt_trace_fails_to_resume() {
             "the error names the line and says {why:?}: {msg}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fuzzer records a diagnosis the first time it sights a title, so every
+/// title a stream's fuzzer tallies has one. A checkpoint whose tally names
+/// an undiagnosed title must fail to resume with `InvalidData` naming the
+/// title, instead of panicking at the first merge that reports it.
+#[test]
+fn checkpoint_with_an_undiagnosed_tally_fails_to_resume() {
+    let dir = scratch_dir("tally");
+    let ckpt = dir.join("campaign.ckpt");
+    let halted = CampaignBuilder::new(2024)
+        .budget(400_000)
+        .shards(2)
+        .epoch_mtis(500)
+        .target(BugSwitches::all(), vec!["never".into()])
+        .checkpoint_to(&ckpt)
+        .halt_after_epochs(3)
+        .run();
+    assert!(halted.halted);
+    let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+
+    // The fuzzer's tally map follows its `crashes N` line.
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let at = lines
+        .windows(2)
+        .position(|w| w[0].starts_with("crashes ") && w[1].starts_with("tally "))
+        .expect("a fuzzer tallied a crash")
+        + 1;
+    let (name, _) = lines[at].rsplit_once(' ').expect("tally line");
+    let title = kutil::codec::unescape(name.strip_prefix("tally ").unwrap()).unwrap();
+    lines[at] = lines[at].replacen("tally ", "tally x", 1);
+    let path = dir.join("undiagnosed.ckpt");
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write edited checkpoint");
+
+    let err = match CampaignBuilder::resume_from(&path) {
+        // Without the parse-time check the campaign runs into the title at
+        // its first merge.
+        Ok(resumed) => {
+            let report = resumed.run();
+            panic!(
+                "the undiagnosed tally x{title:?} resumed and ran {} rounds",
+                report.rounds
+            );
+        }
+        Err(err) => err,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("x{title}")),
+        "the error names the title: {msg}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

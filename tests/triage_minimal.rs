@@ -34,8 +34,8 @@ fn reproduces(build: &BugSwitches, r: &Reproducer, min: &Minimized) -> bool {
     if r.migration_override {
         k.set_migration_override(true);
     }
-    let rep = replay_trace_on(&m, &min.sti, min.i, min.j, &min.trace);
-    !rep.diverged && r.verdict.holds(&rep.outcome)
+    let (outcome, report) = replay_trace_on(&m, &min.sti, min.i, min.j, &min.trace);
+    !report.diverged && r.verdict.holds(&outcome)
 }
 
 /// The minimized reproducer re-packed as a recorder output, to feed the
@@ -220,5 +220,24 @@ fn bisection_is_inconclusive_on_fixed_builds() {
             matches!(outcome, BisectOutcome::Inconclusive(_)),
             "{bug}: culprit-reverted build must be inconclusive, got {outcome:?}"
         );
+    }
+}
+
+/// A triage boots one machine per build it replays on, and no more. For a
+/// single-bug reproducer that is exactly two builds: the one with the bug,
+/// whose machine minimization and bisection share, and the one with none.
+/// Only the triager's own machine is shelved, so a second triage on the
+/// same triager boots the fixed build again and nothing else.
+#[test]
+fn triage_boots_one_machine_per_build() {
+    for bug in all_bugs() {
+        let r = record_reproducer(bug).unwrap_or_else(|| panic!("{bug} must record"));
+        let triager = Triager::new(BugSwitches::only([bug]));
+        let first = triager.triage(&r);
+        assert_eq!(triager.machine_boots(), 2, "{bug}: boots of one triage");
+        let again = triager.triage(&r);
+        assert_eq!(triager.machine_boots(), 3, "{bug}: boots of two triages");
+        assert_eq!(again.minimized.digest_fnv, first.minimized.digest_fnv);
+        assert_eq!(again.bisect, first.bisect);
     }
 }
