@@ -10,6 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kernelsim::{run_concurrent_closures, BugSwitches, Kctx, ECRASH};
+use kmem::LockId;
 use ksched::{BreakWhen, Breakpoint, SchedulePlan};
 use oemu::{iid, Iid, Tid};
 
@@ -90,6 +91,57 @@ fn oops_on_the_nested_cpu_lets_the_suspended_one_finish() {
     assert_eq!(
         out.title(),
         Some("BUG: unable to handle kernel NULL pointer dereference in victim")
+    );
+}
+
+#[test]
+fn oops_in_a_nested_helper_leaves_the_lock_held_and_the_store_buffered() {
+    // An oops kills the task where it stands. The function frames it
+    // leaves are popped, but nothing else runs on the way out: the lock
+    // stays held and the delayed store stays in the buffer, because a
+    // task that dies never reaches its unlock or the syscall-exit flush.
+    let k = Kctx::new(BugSwitches::none());
+    let obj = k.kzalloc(8, "obj");
+    let lock = LockId(0x51);
+    let delayed = iid!();
+    k.engine.delay_store_at(Tid(0), delayed);
+    fn nested_helper(k: &Kctx) -> u64 {
+        let _f = k.enter(Tid(0), "nested_helper");
+        k.read(Tid(0), iid!(), 0x18) // NULL dereference
+    }
+    let out = run_concurrent_closures(
+        &k,
+        SchedulePlan::sequential(Tid(0)),
+        move |k| {
+            let _f = k.enter(Tid(0), "outer");
+            k.lock(Tid(0), lock);
+            k.write(Tid(0), delayed, obj, 1);
+            nested_helper(k);
+            k.unlock(Tid(0), lock);
+            0
+        },
+        |_k| 7,
+    );
+    assert_eq!((out.ret_a, out.ret_b), (ECRASH, 7));
+    assert_eq!(out.crashes.len(), 1, "one report");
+    assert_eq!(
+        out.title(),
+        Some("BUG: unable to handle kernel NULL pointer dereference in nested_helper")
+    );
+    assert_eq!(k.current_fn(Tid(0)), "kernel", "every frame was popped");
+    assert_eq!(
+        k.lockdep.held_by(Tid(0)),
+        vec![lock],
+        "the lock is still held"
+    );
+    assert!(
+        k.engine.pending_stores(Tid(0)) > 0,
+        "no syscall-exit flush after an oops"
+    );
+    assert_eq!(
+        k.engine.raw_load(obj),
+        0,
+        "the delayed store never committed"
     );
 }
 
