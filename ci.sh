@@ -17,15 +17,21 @@ cargo test -q --offline
 echo "== workspace tests (all crates, offline) =="
 cargo test --workspace -q --offline
 
-echo "== memory models: litmus + LKMM properties under tso/pso/arm =="
+echo "== memory models: litmus + LKMM properties under tso/pso/arm, oracle matrix under pso =="
 # The TSO run repeats the default-env run on purpose: it pins that an
 # explicit OZZ_MEMMODEL=tso is byte-identical to leaving it unset. The
 # golden-trace gate stays on the default (TSO) model — goldens are a TSO
-# contract.
+# contract. The oracle matrix runs under TSO in the record/replay step
+# below and under PSO here; Arm stays out until the Arm model honours
+# address dependencies, because 2 of the matrix's 4 tests fail there
+# (a patched kernel reports a crash, two buggy variants miss theirs).
 for m in tso pso arm; do
     echo "--  OZZ_MEMMODEL=$m"
     OZZ_MEMMODEL=$m cargo test -q --offline -p litmus
     OZZ_MEMMODEL=$m cargo test -q --offline --test lkmm_properties
+    if [ "$m" = pso ]; then
+        OZZ_MEMMODEL=$m cargo test -q --offline --test oracle_matrix
+    fi
 done
 
 echo "== restore differential (incremental == full, all models) =="

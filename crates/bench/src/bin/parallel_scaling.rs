@@ -95,10 +95,10 @@ fn main() {
     println!("Campaign scaling: {budget} MTIs over {shards} shards ({host_cores} host cores)\n");
 
     // Discarded warm-up: the first campaign in a fresh process pays all
-    // the cold-start costs (pool boots installing the resident image,
-    // page faults, allocator growth), which would otherwise be billed
-    // entirely to whichever timed arm runs first and skew
-    // `wall_speedup_8w` by run order rather than worker count.
+    // the cold-start costs (pool boots, page faults, allocator growth),
+    // which would otherwise be billed entirely to whichever timed arm
+    // runs first and skew `wall_speedup_8w` by run order rather than
+    // worker count.
     let _ = campaign(budget, shards, 1);
     let (one, wall_1w) = campaign(budget, shards, 1);
     let (eight, wall_8w) = campaign(budget, shards, 8);

@@ -132,13 +132,19 @@ impl CampaignCheckpoint {
             return Err(format!("unsupported {MAGIC} version {version}"));
         }
         let seed = r.hex_field("seed")?;
-        let shards = r.parse_field("shards")?;
+        let shards: usize = r.parse_field("shards")?;
+        if shards == 0 {
+            return Err("shards 0: a campaign needs at least one shard".into());
+        }
         let budget = r.parse_field("budget")?;
-        let epoch_mtis = r.parse_field("epoch_mtis")?;
+        let epoch_mtis: u64 = r.parse_field("epoch_mtis")?;
+        if epoch_mtis == 0 {
+            return Err("epoch_mtis 0: an epoch must run at least one MTI".into());
+        }
         let round = r.parse_field("round")?;
         let bugs = BugSwitches::parse_key(r.field("bugs")?)?;
         let n_expected: usize = r.parse_field("expected")?;
-        let mut expected = Vec::with_capacity(n_expected);
+        let mut expected = Vec::new();
         for _ in 0..n_expected {
             expected.push(r.str_field("title")?);
         }
@@ -149,13 +155,18 @@ impl CampaignCheckpoint {
         let mutate_ratio = f64::from_bits(r.hex_field("mutate_ratio")?);
         let hint_order = HintOrder::parse(r.field("hint_order")?)?;
         let n_found: usize = r.parse_field("found")?;
-        let mut found = Vec::with_capacity(n_found);
+        let mut found = Vec::new();
         for _ in 0..n_found {
             found.push(read_bug(&mut r)?);
         }
         let crashdb = CrashDb::parse(&r.blob("crashdb")?)?;
         let n_streams: usize = r.parse_field("streams")?;
-        let mut streams = Vec::with_capacity(n_streams);
+        if n_streams != shards {
+            return Err(format!(
+                "streams {n_streams} does not match shards {shards}"
+            ));
+        }
+        let mut streams = Vec::new();
         for _ in 0..n_streams {
             r.begin("stream")?;
             let epoch = r.parse_field("epoch")?;
@@ -169,6 +180,20 @@ impl CampaignCheckpoint {
             let counts_sent = read_tally_map(&mut r, "counts_sent")?;
             let fuzzer = read_fuzzer(&mut r)?;
             r.end()?;
+            // The stream broadcasts `corpus[corpus_mark..]` next round, and
+            // the merge looks up every title it sent in the found set.
+            if corpus_mark > fuzzer.corpus.len() {
+                return Err(format!(
+                    "corpus_mark {corpus_mark} exceeds the stream's corpus of {}",
+                    fuzzer.corpus.len()
+                ));
+            }
+            if let Some(title) = bugs_sent
+                .iter()
+                .find(|t| !found.iter().any(|b| &b.title == *t))
+            {
+                return Err(format!("bugs_sent title {title:?} is not in found"));
+            }
             streams.push(StreamCheckpoint {
                 epoch,
                 corpus_mark,
@@ -320,17 +345,17 @@ fn read_fuzzer(r: &mut TextReader<'_>) -> Result<FuzzerCheckpoint, ParseError> {
     }
     let rng_pick = r.hex_field("pick")?;
     let n_corpus: usize = r.parse_field("corpus")?;
-    let mut corpus = Vec::with_capacity(n_corpus);
+    let mut corpus = Vec::new();
     for _ in 0..n_corpus {
         corpus.push(read_sti(r)?);
     }
     let n_cov: usize = r.parse_field("coverage")?;
-    let mut coverage = Vec::with_capacity(n_cov);
+    let mut coverage = Vec::new();
     for _ in 0..n_cov {
         coverage.push(Iid::from_token(r.field("iid")?)?);
     }
     let n_found: usize = r.parse_field("found")?;
-    let mut found = Vec::with_capacity(n_found);
+    let mut found = Vec::new();
     for _ in 0..n_found {
         found.push(read_bug(r)?);
     }

@@ -9,61 +9,64 @@
 
 use oemu::{Iid, RmwOrder, Tid};
 
-use crate::kctx::Kctx;
+use crate::kctx::{KResult, Kctx};
 
 /// `test_and_set_bit(nr, addr)` — fully ordered; returns the old bit.
-pub fn test_and_set_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> bool {
+pub fn test_and_set_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<bool> {
     let mask = 1u64 << nr;
-    let old = k.rmw(t, iid, addr, |v| v | mask, RmwOrder::Full);
-    old & mask != 0
+    let old = k.rmw(t, iid, addr, |v| v | mask, RmwOrder::Full)?;
+    Ok(old & mask != 0)
 }
 
 /// `test_and_clear_bit(nr, addr)` — fully ordered; returns the old bit.
-pub fn test_and_clear_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> bool {
+pub fn test_and_clear_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<bool> {
     let mask = 1u64 << nr;
-    let old = k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Full);
-    old & mask != 0
+    let old = k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Full)?;
+    Ok(old & mask != 0)
 }
 
 /// `set_bit(nr, addr)` — atomic but unordered.
-pub fn set_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) {
+pub fn set_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<()> {
     let mask = 1u64 << nr;
-    k.rmw(t, iid, addr, |v| v | mask, RmwOrder::Relaxed);
+    k.rmw(t, iid, addr, |v| v | mask, RmwOrder::Relaxed)?;
+    Ok(())
 }
 
 /// `clear_bit(nr, addr)` — atomic but **unordered**: it does not wait for
 /// earlier stores, which is why it must never release a lock.
-pub fn clear_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) {
+pub fn clear_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<()> {
     let mask = 1u64 << nr;
-    k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Relaxed);
+    k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Relaxed)?;
+    Ok(())
 }
 
 /// `clear_bit_unlock(nr, addr)` — release semantics: every store issued
 /// before it is visible before the bit clears. The correct way to release a
 /// bit lock (the Figure 8 fix).
-pub fn clear_bit_unlock(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) {
+pub fn clear_bit_unlock(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<()> {
     let mask = 1u64 << nr;
-    k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Release);
+    k.rmw(t, iid, addr, |v| v & !mask, RmwOrder::Release)?;
+    Ok(())
 }
 
 /// `test_bit(nr, addr)` — a `READ_ONCE` of the containing word.
-pub fn test_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> bool {
-    k.read_once(t, iid, addr) & (1u64 << nr) != 0
+pub fn test_bit(k: &Kctx, t: Tid, iid: Iid, nr: u32, addr: u64) -> KResult<bool> {
+    Ok(k.read_once(t, iid, addr)? & (1u64 << nr) != 0)
 }
 
 /// `_find_first_bit(bitmap, nwords)` — scans a bitmap for the first set
 /// bit; returns `nwords * 64` when none is set. Faults (through the KASAN
 /// check inside [`Kctx::read`]) when `bitmap` is null or bogus — the crash
 /// site of the paper's Bug #2.
-pub fn find_first_bit(k: &Kctx, t: Tid, iid: Iid, bitmap: u64, nwords: u64) -> u64 {
+pub fn find_first_bit(k: &Kctx, t: Tid, iid: Iid, bitmap: u64, nwords: u64) -> KResult<u64> {
     let _f = k.enter(t, "_find_first_bit");
     for w in 0..nwords {
-        let word = k.read(t, iid, bitmap + w * 8);
+        let word = k.read(t, iid, bitmap + w * 8)?;
         if word != 0 {
-            return w * 64 + word.trailing_zeros() as u64;
+            return Ok(w * 64 + word.trailing_zeros() as u64);
         }
     }
-    nwords * 64
+    Ok(nwords * 64)
 }
 
 #[cfg(test)]
@@ -81,29 +84,35 @@ mod tests {
     #[test]
     fn test_and_set_acts_as_trylock() {
         let (k, t, addr) = fresh();
-        assert!(!test_and_set_bit(&k, t, iid!(), 2, addr), "first wins");
-        assert!(test_and_set_bit(&k, t, iid!(), 2, addr), "second loses");
-        assert!(test_bit(&k, t, iid!(), 2, addr));
-        clear_bit(&k, t, iid!(), 2, addr);
-        assert!(!test_bit(&k, t, iid!(), 2, addr));
+        assert!(
+            !test_and_set_bit(&k, t, iid!(), 2, addr).unwrap(),
+            "first wins"
+        );
+        assert!(
+            test_and_set_bit(&k, t, iid!(), 2, addr).unwrap(),
+            "second loses"
+        );
+        assert!(test_bit(&k, t, iid!(), 2, addr).unwrap());
+        clear_bit(&k, t, iid!(), 2, addr).unwrap();
+        assert!(!test_bit(&k, t, iid!(), 2, addr).unwrap());
     }
 
     #[test]
     fn set_and_clear_are_per_bit() {
         let (k, t, addr) = fresh();
-        set_bit(&k, t, iid!(), 0, addr);
-        set_bit(&k, t, iid!(), 5, addr);
-        clear_bit(&k, t, iid!(), 0, addr);
-        assert!(!test_bit(&k, t, iid!(), 0, addr));
-        assert!(test_bit(&k, t, iid!(), 5, addr));
+        set_bit(&k, t, iid!(), 0, addr).unwrap();
+        set_bit(&k, t, iid!(), 5, addr).unwrap();
+        clear_bit(&k, t, iid!(), 0, addr).unwrap();
+        assert!(!test_bit(&k, t, iid!(), 0, addr).unwrap());
+        assert!(test_bit(&k, t, iid!(), 5, addr).unwrap());
     }
 
     #[test]
     fn test_and_clear_returns_old() {
         let (k, t, addr) = fresh();
-        set_bit(&k, t, iid!(), 1, addr);
-        assert!(test_and_clear_bit(&k, t, iid!(), 1, addr));
-        assert!(!test_and_clear_bit(&k, t, iid!(), 1, addr));
+        set_bit(&k, t, iid!(), 1, addr).unwrap();
+        assert!(test_and_clear_bit(&k, t, iid!(), 1, addr).unwrap());
+        assert!(!test_and_clear_bit(&k, t, iid!(), 1, addr).unwrap());
     }
 
     #[test]
@@ -112,11 +121,11 @@ mod tests {
         let data = k.kzalloc(8, "data");
         let istore = iid!();
         k.engine.delay_store_at(t, istore);
-        set_bit(&k, t, iid!(), 0, addr);
-        k.write(t, istore, data, 1); // delayed
-        clear_bit(&k, t, iid!(), 0, addr);
+        set_bit(&k, t, iid!(), 0, addr).unwrap();
+        k.write(t, istore, data, 1).unwrap(); // delayed
+        clear_bit(&k, t, iid!(), 0, addr).unwrap();
         assert_eq!(k.engine.raw_load(data), 0, "clear_bit is unordered");
-        assert!(!test_bit(&k, t, iid!(), 0, addr));
+        assert!(!test_bit(&k, t, iid!(), 0, addr).unwrap());
     }
 
     #[test]
@@ -125,9 +134,9 @@ mod tests {
         let data = k.kzalloc(8, "data");
         let istore = iid!();
         k.engine.delay_store_at(t, istore);
-        set_bit(&k, t, iid!(), 0, addr);
-        k.write(t, istore, data, 1); // delayed
-        clear_bit_unlock(&k, t, iid!(), 0, addr);
+        set_bit(&k, t, iid!(), 0, addr).unwrap();
+        k.write(t, istore, data, 1).unwrap(); // delayed
+        clear_bit_unlock(&k, t, iid!(), 0, addr).unwrap();
         assert_eq!(k.engine.raw_load(data), 1, "unlock has release semantics");
     }
 
@@ -135,16 +144,20 @@ mod tests {
     fn find_first_bit_scans_words() {
         let (k, t, _) = fresh();
         let bm = k.kzalloc(24, "bitmap");
-        assert_eq!(find_first_bit(&k, t, iid!(), bm, 3), 192, "empty bitmap");
-        k.write(t, iid!(), bm + 8, 1 << 9);
-        assert_eq!(find_first_bit(&k, t, iid!(), bm, 3), 64 + 9);
+        assert_eq!(
+            find_first_bit(&k, t, iid!(), bm, 3),
+            Ok(192),
+            "empty bitmap"
+        );
+        k.write(t, iid!(), bm + 8, 1 << 9).unwrap();
+        assert_eq!(find_first_bit(&k, t, iid!(), bm, 3), Ok(64 + 9));
     }
 
     #[test]
     fn find_first_bit_on_null_bitmap_oopses() {
         let (k, t, _) = fresh();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            find_first_bit(&k, t, iid!(), 0, 1);
+            find_first_bit(&k, t, iid!(), 0, 1).unwrap();
         }));
         assert!(r.is_err());
         let reports = k.sink.take();

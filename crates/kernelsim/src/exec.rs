@@ -3,9 +3,9 @@
 //! The concurrent runner is the machine-level half of OZZ's MTI execution
 //! (§4.4): two syscalls run on two simulated CPUs serialised by the custom
 //! scheduler, with whatever reordering instructions the caller installed in
-//! the engine. A simulated oops ([`CrashSignal`]) terminates the faulting
-//! CPU — its syscall returns [`ECRASH`] — while the other CPU keeps running,
-//! and the harvested crash reports come back in the [`RunOutcome`].
+//! the engine. A simulated oops ([`Oops`]) terminates the faulting CPU —
+//! its syscall returns [`ECRASH`] — while the other CPU keeps running, and
+//! the harvested crash reports come back in the [`RunOutcome`].
 //!
 //! One pair execution is fully described by an [`ExecRequest`]: the two
 //! syscalls plus an [`ExecDrive`] saying what steers the interleaving — a
@@ -27,7 +27,7 @@ use ksched::{SchedulePlan, StepScheduler};
 use kutil::sync::Mutex;
 use oemu::{ScheduleTrace, Tid};
 
-use crate::kctx::{CrashSignal, Kctx, ECRASH};
+use crate::kctx::{KResult, Kctx, Oops, ECRASH};
 use crate::syscalls::{dispatch, Syscall};
 
 /// The executor selector of earlier releases, now single-valued: every
@@ -176,31 +176,26 @@ impl ExecReply {
 }
 
 /// A leg's result: the syscall's value (or [`ECRASH`]), or the payload of
-/// a panic that was not a simulated oops, for the caller to resume.
-type LegResult = Result<i64, Box<dyn std::any::Any + Send>>;
+/// a harness panic, held until both legs have run and then resumed.
+type LegResult = std::thread::Result<i64>;
 
 /// Runs `body` as CPU `t`'s syscall with oops isolation and the
 /// syscall-exit store-buffer flush. A simulated oops kills the task without
 /// returning to userspace (no exit flush; the report is in the sink).
-fn isolated(k: &Kctx, t: Tid, body: impl FnOnce(&Kctx) -> i64) -> LegResult {
-    match catch_unwind(AssertUnwindSafe(|| body(k))) {
+fn isolated(k: &Kctx, t: Tid, body: impl FnOnce(&Kctx) -> KResult<i64>) -> i64 {
+    match body(k) {
         Ok(ret) => {
             k.syscall_exit(t);
-            Ok(ret)
+            ret
         }
-        Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => Ok(ECRASH),
-        Err(payload) => Err(payload),
+        Err(Oops) => ECRASH,
     }
-}
-
-fn settle(r: LegResult) -> i64 {
-    r.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Runs one syscall on CPU `t` with oops isolation and the syscall-exit
 /// store-buffer flush. Returns the syscall's value, or [`ECRASH`].
 pub fn run_one(k: &Kctx, t: Tid, sc: Syscall) -> i64 {
-    settle(isolated(k, t, |k| dispatch(k, t, sc)))
+    isolated(k, t, |k| dispatch(k, t, sc))
 }
 
 /// Runs a sequence of syscalls single-threaded on CPU 0 (the STI execution
@@ -218,8 +213,8 @@ pub fn run_sti(k: &Kctx, calls: &[Syscall]) -> Vec<i64> {
 pub fn run_concurrent_closures(
     k: &Arc<Kctx>,
     plan: SchedulePlan,
-    a: impl FnOnce(&Kctx) -> i64 + Send + 'static,
-    b: impl FnOnce(&Kctx) -> i64 + Send + 'static,
+    a: impl FnOnce(&Kctx) -> KResult<i64> + Send + 'static,
+    b: impl FnOnce(&Kctx) -> KResult<i64> + Send + 'static,
 ) -> RunOutcome {
     run_legs(k, &Arc::new(StepScheduler::new(2, plan)), a, b)
 }
@@ -353,12 +348,13 @@ fn run_pair(k: &Arc<Kctx>, sched: &Arc<StepScheduler>, a: Syscall, b: Syscall) -
 
 /// The pair executor: installs `a` and `b` as the legs of CPUs 0 and 1,
 /// runs them to completion on the calling thread, and drains the crash
-/// reports. Results settle in a-then-b order.
+/// reports. A harness panic in either leg reaches the caller only after
+/// both legs ran and the scheduler is detached, a-then-b.
 fn run_legs(
     k: &Arc<Kctx>,
     sched: &Arc<StepScheduler>,
-    a: impl FnOnce(&Kctx) -> i64 + Send + 'static,
-    b: impl FnOnce(&Kctx) -> i64 + Send + 'static,
+    a: impl FnOnce(&Kctx) -> KResult<i64> + Send + 'static,
+    b: impl FnOnce(&Kctx) -> KResult<i64> + Send + 'static,
 ) -> RunOutcome {
     k.set_step_scheduler(Some(Arc::clone(sched)));
     let cell_a = install_leg(k, sched, Tid(0), a);
@@ -367,8 +363,12 @@ fn run_legs(
     k.set_step_scheduler(None);
     k.engine.clear_controls(Tid(0));
     k.engine.clear_controls(Tid(1));
-    let ret_a = settle(cell_a.lock().take().expect("leg 0 ran to completion"));
-    let ret_b = settle(cell_b.lock().take().expect("leg 1 ran to completion"));
+    let settle = |cell: Arc<Mutex<Option<LegResult>>>| {
+        let r = cell.lock().take().expect("leg ran to completion");
+        r.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    };
+    let ret_a = settle(cell_a);
+    let ret_b = settle(cell_b);
     RunOutcome {
         crashes: k.sink.take(),
         ret_a,
@@ -378,11 +378,13 @@ fn run_legs(
 
 /// Boxes `body` into CPU `t`'s leg — scheduler start, oops isolation,
 /// syscall-exit flush, finish — writing its result into the returned cell.
+/// The leg catches a harness panic so that the peer leg still runs; it
+/// costs nothing when nothing panics.
 fn install_leg(
     k: &Arc<Kctx>,
     sched: &Arc<StepScheduler>,
     t: Tid,
-    body: impl FnOnce(&Kctx) -> i64 + Send + 'static,
+    body: impl FnOnce(&Kctx) -> KResult<i64> + Send + 'static,
 ) -> Arc<Mutex<Option<LegResult>>> {
     let cell = Arc::new(Mutex::new(None));
     let (kk, sch, out) = (Arc::clone(k), Arc::clone(sched), Arc::clone(&cell));
@@ -390,7 +392,7 @@ fn install_leg(
         t,
         Box::new(move || {
             sch.leg_start(t);
-            let r = isolated(&kk, t, body);
+            let r = catch_unwind(AssertUnwindSafe(|| isolated(&kk, t, body)));
             sch.leg_finish(t);
             *out.lock() = Some(r);
         }),
@@ -504,10 +506,10 @@ mod tests {
             SchedulePlan::sequential(Tid(0)),
             |k| {
                 let _f = k.enter(Tid(0), "explode");
-                k.read(Tid(0), oemu::iid!(), 0); // null deref
+                k.read(Tid(0), oemu::iid!(), 0)?; // null deref
                 unreachable!()
             },
-            |_k| 42,
+            |_k| Ok(42),
         );
         assert_eq!(out.ret_a, ECRASH);
         assert_eq!(out.ret_b, 42);
@@ -554,10 +556,10 @@ mod tests {
             SchedulePlan::sequential(Tid(0)),
             |k| {
                 let _f = k.enter(Tid(0), "some_fn");
-                k.bug_on(Tid(0), true, "invariant broken");
-                0
+                k.bug_on(Tid(0), true, "invariant broken")?;
+                Ok(0)
             },
-            |_k| 0,
+            |_k| Ok(0),
         );
         assert!(out.crashed());
         assert_eq!(

@@ -10,9 +10,11 @@
 //! reordering decisions see the live allocator state, and the oracles see
 //! reordered values.
 //!
-//! A detected fault records a crash report and unwinds the simulated CPU
-//! with a [`CrashSignal`] payload — the analog of a kernel oops that kills
-//! the offending task. The executor catches it at the syscall boundary.
+//! A detected fault records a crash report and returns [`Oops`] — the
+//! analog of a kernel oops that kills the offending task. Every accessor
+//! that can fault returns a [`KResult`], kernel code propagates the oops
+//! with `?`, and the executor turns it into [`ECRASH`] at the syscall
+//! boundary.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -32,18 +34,6 @@ use crate::subsys;
 /// Number of simulated CPUs per machine (the paper's VMs have four vCPUs).
 pub const MAX_CPUS: usize = 4;
 
-/// Base address of the boot-time resident image (see
-/// [`oemu::Engine::install_resident_image`]). Reserved: far above the kmem
-/// heap (`0x1_0000_0000`+), the function registry (`0x4000_0000`..), and
-/// every subsystem global — no emulated code addresses into it.
-pub const RESIDENT_BASE: u64 = 0xba11_0000_0000;
-
-/// Size of the resident image in 8-byte words (128 KiB). Large enough that
-/// a full restore's `clone_from` visibly costs machine size — the honest
-/// stand-in for reverting a VM snapshot — while keeping boot and the
-/// per-pair snapshot clone affordable.
-pub const RESIDENT_IMAGE_WORDS: u64 = 16384;
-
 /// `EBADF`-style error returns used by the syscall layer.
 pub const EBADF: i64 = -9;
 /// `EINVAL`.
@@ -55,14 +45,16 @@ pub const EAGAIN: i64 = -11;
 /// Sentinel return of a syscall that died in a simulated oops.
 pub const ECRASH: i64 = -1000;
 
-/// Unwind payload of a simulated kernel oops. Raised with
-/// `std::panic::resume_unwind` (no panic hook runs) and caught by the
-/// syscall runner.
-#[derive(Clone, Debug)]
-pub struct CrashSignal {
-    /// Table 3-style crash title.
-    pub title: String,
-}
+/// A simulated kernel oops: the task that raised it is dead. The crash
+/// report is already in the machine's sink; this marker only says that the
+/// code on the way out must run nothing more (`?` returns it to the
+/// syscall boundary, which reports [`ECRASH`]).
+#[must_use]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Oops;
+
+/// The result of simulated kernel code that can oops.
+pub type KResult<T> = Result<T, Oops>;
 
 /// Boot-time global objects of every subsystem (the simulated kernel's
 /// static/global data), built once per machine.
@@ -212,18 +204,6 @@ impl Kctx {
             globals: OnceLock::new(),
             boot: OnceLock::new(),
         });
-        // The resident image goes in first: the boot-time ballast standing
-        // in for the static data, slab pools, and page metadata a real
-        // kernel carries. It makes a full machine restore cost what
-        // reverting a VM snapshot costs — proportional to machine size —
-        // which is the baseline the dirty-set undo journal beats. The
-        // content is deterministic and identical on every machine; the
-        // range is reserved (no subsystem addresses into it) and excluded
-        // from semantic digests.
-        let image: Vec<u64> = (0..RESIDENT_IMAGE_WORDS)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xba11)
-            .collect();
-        k.engine.install_resident_image(RESIDENT_BASE, &image);
         let globals = Globals {
             wq: subsys::watch_queue::boot(&k),
             tls: subsys::tls::boot(&k),
@@ -421,35 +401,31 @@ impl Kctx {
     // Oops machinery.
     // ------------------------------------------------------------------
 
-    /// Records the fault and unwinds the simulated CPU (kernel oops).
-    pub fn oops(&self, fault: Fault) -> ! {
-        // A CrashSignal unwind is the simulated oops mechanism, never an
-        // error in the harness itself; every raise site is paired with a
-        // catch_unwind in `exec`. `resume_unwind` skips the panic hook, so
-        // an oops prints nothing: campaign output is the crash reports.
-        let report = CrashReport::from_fault(fault);
-        let title = report.title.clone();
-        self.sink.record(report);
-        std::panic::resume_unwind(Box::new(CrashSignal { title }));
+    /// Records the fault (kernel oops) and returns the [`Oops`] that kills
+    /// the simulated task.
+    pub fn oops(&self, fault: Fault) -> Oops {
+        self.sink.record(CrashReport::from_fault(fault));
+        Oops
     }
 
     /// `BUG_ON`-style assertion oracle.
-    pub fn bug_on(&self, t: Tid, cond: bool, what: &'static str) {
-        if cond {
-            self.oops(Fault {
-                kind: kmem::FaultKind::AssertFail {
-                    what: what.to_string(),
-                },
-                addr: 0,
-                in_fn: self.current_fn(t),
-            });
+    pub fn bug_on(&self, t: Tid, cond: bool, what: &'static str) -> KResult<()> {
+        if !cond {
+            return Ok(());
         }
+        Err(self.oops(Fault {
+            kind: kmem::FaultKind::AssertFail {
+                what: what.to_string(),
+            },
+            addr: 0,
+            in_fn: self.current_fn(t),
+        }))
     }
 
-    fn check(&self, t: Tid, addr: u64, write: bool) {
-        if let Err(fault) = self.kmem.check_access(addr, 8, write, self.current_fn(t)) {
-            self.oops(fault);
-        }
+    fn check(&self, t: Tid, addr: u64, write: bool) -> KResult<()> {
+        self.kmem
+            .check_access(addr, 8, write, self.current_fn(t))
+            .map_err(|fault| self.oops(fault))
     }
 
     fn gate_before(&self, t: Tid, iid: Iid) {
@@ -473,55 +449,56 @@ impl Kctx {
     // Instrumented accesses (the Figure 2 callbacks).
     // ------------------------------------------------------------------
 
-    fn do_load(&self, t: Tid, iid: Iid, addr: u64, ann: LoadAnn) -> u64 {
+    fn do_load(&self, t: Tid, iid: Iid, addr: u64, ann: LoadAnn) -> KResult<u64> {
         if self.is_raw() {
-            return self.engine.raw_load(addr);
+            return Ok(self.engine.raw_load(addr));
         }
         self.gate_before(t, iid);
-        self.check(t, addr, false);
+        self.check(t, addr, false)?;
         let v = self.engine.load(t, iid, addr, ann);
         self.gate_after(t, iid);
-        v
+        Ok(v)
     }
 
-    fn do_store(&self, t: Tid, iid: Iid, addr: u64, val: u64, ann: StoreAnn) {
+    fn do_store(&self, t: Tid, iid: Iid, addr: u64, val: u64, ann: StoreAnn) -> KResult<()> {
         if self.is_raw() {
             self.engine.raw_store(addr, val);
-            return;
+            return Ok(());
         }
         self.gate_before(t, iid);
-        self.check(t, addr, true);
+        self.check(t, addr, true)?;
         self.engine.store(t, iid, addr, val, ann);
         self.gate_after(t, iid);
+        Ok(())
     }
 
     /// A plain load (`x = *p`).
-    pub fn read(&self, t: Tid, iid: Iid, addr: u64) -> u64 {
+    pub fn read(&self, t: Tid, iid: Iid, addr: u64) -> KResult<u64> {
         self.do_load(t, iid, addr, LoadAnn::Plain)
     }
 
     /// `READ_ONCE(*p)`.
-    pub fn read_once(&self, t: Tid, iid: Iid, addr: u64) -> u64 {
+    pub fn read_once(&self, t: Tid, iid: Iid, addr: u64) -> KResult<u64> {
         self.do_load(t, iid, addr, LoadAnn::ReadOnce)
     }
 
     /// `smp_load_acquire(p)`.
-    pub fn load_acquire(&self, t: Tid, iid: Iid, addr: u64) -> u64 {
+    pub fn load_acquire(&self, t: Tid, iid: Iid, addr: u64) -> KResult<u64> {
         self.do_load(t, iid, addr, LoadAnn::Acquire)
     }
 
     /// A plain store (`*p = v`).
-    pub fn write(&self, t: Tid, iid: Iid, addr: u64, val: u64) {
+    pub fn write(&self, t: Tid, iid: Iid, addr: u64, val: u64) -> KResult<()> {
         self.do_store(t, iid, addr, val, StoreAnn::Plain)
     }
 
     /// `WRITE_ONCE(*p, v)`.
-    pub fn write_once(&self, t: Tid, iid: Iid, addr: u64, val: u64) {
+    pub fn write_once(&self, t: Tid, iid: Iid, addr: u64, val: u64) -> KResult<()> {
         self.do_store(t, iid, addr, val, StoreAnn::WriteOnce)
     }
 
     /// `smp_store_release(p, v)`.
-    pub fn store_release(&self, t: Tid, iid: Iid, addr: u64, val: u64) {
+    pub fn store_release(&self, t: Tid, iid: Iid, addr: u64, val: u64) -> KResult<()> {
         self.do_store(t, iid, addr, val, StoreAnn::Release)
     }
 
@@ -533,17 +510,17 @@ impl Kctx {
         addr: u64,
         f: impl FnOnce(u64) -> u64,
         order: RmwOrder,
-    ) -> u64 {
+    ) -> KResult<u64> {
         if self.is_raw() {
             let old = self.engine.raw_load(addr);
             self.engine.raw_store(addr, f(old));
-            return old;
+            return Ok(old);
         }
         self.gate_before(t, iid);
-        self.check(t, addr, true);
+        self.check(t, addr, true)?;
         let old = self.engine.rmw(t, iid, addr, f, order);
         self.gate_after(t, iid);
-        old
+        Ok(old)
     }
 
     /// `smp_mb()`.
@@ -577,27 +554,26 @@ impl Kctx {
     }
 
     /// `kfree(p)`; double frees and wild frees oops.
-    pub fn kfree(&self, t: Tid, addr: u64) {
-        if let Err(fault) = self.kmem.kfree(addr, self.current_fn(t)) {
-            self.oops(fault);
-        }
+    pub fn kfree(&self, t: Tid, addr: u64) -> KResult<()> {
+        self.kmem
+            .kfree(addr, self.current_fn(t))
+            .map_err(|fault| self.oops(fault))
     }
 
     /// Resolves an indirect call target; a null or wild pointer oopses —
     /// the `buf->ops->confirm()` crash of Figure 1.
-    pub fn call_fn(&self, t: Tid, target: u64) -> &'static str {
-        match self.fns.resolve(target, self.current_fn(t)) {
-            Ok(name) => name,
-            Err(fault) => self.oops(fault),
-        }
+    pub fn call_fn(&self, t: Tid, target: u64) -> KResult<&'static str> {
+        self.fns
+            .resolve(target, self.current_fn(t))
+            .map_err(|fault| self.oops(fault))
     }
 
     /// Lockdep-checked lock acquisition (ordering oracle only; the custom
     /// scheduler already serialises execution, so no blocking is needed).
-    pub fn lock(&self, t: Tid, lock: LockId) {
-        if let Err(fault) = self.lockdep.acquire(t, lock, self.current_fn(t)) {
-            self.oops(fault);
-        }
+    pub fn lock(&self, t: Tid, lock: LockId) -> KResult<()> {
+        self.lockdep
+            .acquire(t, lock, self.current_fn(t))
+            .map_err(|fault| self.oops(fault))
     }
 
     /// Lockdep-checked lock release.
@@ -636,8 +612,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
         let obj = k.kzalloc(32, "test");
-        k.write(t, iid!(), obj, 7);
-        assert_eq!(k.read(t, iid!(), obj), 7);
+        k.write(t, iid!(), obj, 7).unwrap();
+        assert_eq!(k.read(t, iid!(), obj), Ok(7));
     }
 
     #[test]
@@ -661,17 +637,14 @@ mod tests {
     fn null_read_oopses_with_frame_name() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        {
             let _f = k.enter(t, "pipe_read");
-            k.read(t, iid!(), 0);
-        }));
-        let payload = result.expect_err("oops must unwind");
-        let sig = payload.downcast_ref::<CrashSignal>().expect("crash signal");
+            assert_eq!(k.read(t, iid!(), 0), Err(Oops));
+        }
         assert_eq!(
-            sig.title,
+            k.sink.take()[0].title,
             "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
         );
-        assert!(k.sink.has_reports());
     }
 
     #[test]
@@ -680,9 +653,9 @@ mod tests {
         let t = Tid(0);
         k.set_raw(true);
         // Null access does not fault in raw mode (no KASAN).
-        assert_eq!(k.read(t, iid!(), 0), 0);
+        assert_eq!(k.read(t, iid!(), 0), Ok(0));
         // Stores are direct: no history, no profiling.
-        k.write(t, iid!(), 0x9000, 3);
+        k.write(t, iid!(), 0x9000, 3).unwrap();
         assert_eq!(k.engine.raw_load(0x9000), 3);
         k.set_raw(false);
     }
@@ -700,12 +673,9 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
         let ok = k.fns.register("tls_setsockopt");
-        assert_eq!(k.call_fn(t, ok), "tls_setsockopt");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _f = k.enter(t, "tls_setsockopt");
-            k.call_fn(t, 0);
-        }));
-        assert!(result.is_err());
+        assert_eq!(k.call_fn(t, ok), Ok("tls_setsockopt"));
+        let _f = k.enter(t, "tls_setsockopt");
+        assert_eq!(k.call_fn(t, 0), Err(Oops));
     }
 
     #[test]
@@ -727,16 +697,16 @@ mod tests {
         k.engine.delay_store_at(t, i);
         k.engine.read_old_value_at(Tid(1), iid!());
         let obj = k.kzalloc(32, "dirty");
-        k.write(t, i, obj, 7); // delayed: sits in the store buffer
-        k.write(t, iid!(), obj + 8, 9); // commits: memory + history entry
-        k.lock(t, LockId(0x11));
-        k.lock(t, LockId(0x22)); // learned ordering edge
+        k.write(t, i, obj, 7).unwrap(); // delayed: sits in the store buffer
+        k.write(t, iid!(), obj + 8, 9).unwrap(); // commits: memory + history entry
+        k.lock(t, LockId(0x11)).unwrap();
+        k.lock(t, LockId(0x22)).unwrap(); // learned ordering edge
         k.unlock(t, LockId(0x22));
         k.unlock(t, LockId(0x11));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        {
             let _f = k.enter(t, "dirty_fn");
-            k.read(t, iid!(), 0); // null deref -> sink report
-        }));
+            assert!(k.read(t, iid!(), 0).is_err()); // null deref -> sink report
+        }
         k.set_migration_override(true);
         k.set_raw(true);
         assert_ne!(k.state_digest(), boot_digest, "machine is dirty");
@@ -754,7 +724,7 @@ mod tests {
         // The cleared delay control stays cleared: a store at the formerly
         // delayed iid now commits immediately.
         let obj2 = k.kzalloc(32, "after");
-        k.write(t, i, obj2, 5);
+        k.write(t, i, obj2, 5).unwrap();
         assert_eq!(k.engine.raw_load(obj2), 5);
         // And the reset machine behaves like the fresh one.
         assert_eq!(k.cpu_of(Tid(1)), 1, "migration override cleared");
@@ -767,12 +737,12 @@ mod tests {
         let t = Tid(0);
         // Dirty several dimensions so the digest is non-trivial.
         let obj = k.kzalloc(32, "digest");
-        k.write(t, iid!(), obj, 7);
-        k.lock(t, LockId(0x11));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        k.write(t, iid!(), obj, 7).unwrap();
+        k.lock(t, LockId(0x11)).unwrap();
+        {
             let _f = k.enter(t, "digest_fn");
-            k.read(t, iid!(), 0);
-        }));
+            assert!(k.read(t, iid!(), 0).is_err());
+        }
         let live = k.state_digest();
         assert_eq!(live, k.snapshot().digest());
         // And streaming must not have armed a journal frame of its own
@@ -787,8 +757,8 @@ mod tests {
         let t = Tid(0);
         for round in 0..3u64 {
             let obj = k.kzalloc(32, "round");
-            k.write(t, iid!(), obj, round);
-            k.lock(t, LockId(0x33));
+            k.write(t, iid!(), obj, round).unwrap();
+            k.lock(t, LockId(0x33)).unwrap();
             k.unlock(t, LockId(0x33));
             k.reset();
             assert_eq!(k.state_digest(), boot_digest);
@@ -806,7 +776,7 @@ mod tests {
         k.set_force_full_restore(true);
         let t = Tid(0);
         let obj = k.kzalloc(32, "forced");
-        k.write(t, iid!(), obj, 1);
+        k.write(t, iid!(), obj, 1).unwrap();
         k.reset();
         assert_eq!(k.state_digest(), boot_digest);
         let s = k.engine.stats();
@@ -830,7 +800,7 @@ mod tests {
         let obj = k.kzalloc(16, "o");
         let i = iid!();
         k.engine.delay_store_at(t, i);
-        k.write(t, i, obj, 5);
+        k.write(t, i, obj, 5).unwrap();
         assert_eq!(k.engine.raw_load(obj), 0);
         k.syscall_exit(t);
         assert_eq!(k.engine.raw_load(obj), 5);

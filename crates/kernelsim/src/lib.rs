@@ -44,7 +44,7 @@ pub use exec::{
     ExecRequest, ReplayReport, RunOutcome,
 };
 pub use kctx::{
-    CrashSignal, FnFrame, Globals, Kctx, MachineSnapshot, EAGAIN, EBADF, EBUSY, ECRASH, EINVAL,
+    FnFrame, Globals, KResult, Kctx, MachineSnapshot, Oops, EAGAIN, EBADF, EBUSY, ECRASH, EINVAL,
     MAX_CPUS,
 };
 pub use oemu::MemoryModel;

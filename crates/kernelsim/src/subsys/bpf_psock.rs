@@ -12,7 +12,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EBADF, EBUSY};
+use crate::kctx::{KResult, Kctx, EBADF, EBUSY};
 
 /// Number of sockmap-capable sockets.
 pub const NSOCKS: usize = 2;
@@ -50,15 +50,15 @@ fn sock(k: &Kctx, fd: u64) -> Option<u64> {
 
 /// `sk_psock_init` + `sk_psock_start_verdict`: attach a psock to the socket
 /// (writer of Bug #6).
-pub fn psock_init(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn psock_init(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "sk_psock_init");
-    if k.read(t, iid!(), sk + SK_PSOCK) != 0 {
-        return EBUSY;
+    if k.read(t, iid!(), sk + SK_PSOCK)? != 0 {
+        return Ok(EBUSY);
     }
     let psock = k.kzalloc(16, "sk_psock");
-    let saved = k.read(t, iid!(), sk + SK_DATA_READY);
-    k.write(t, iid!(), psock + PSOCK_SAVED_READY, saved);
+    let saved = k.read(t, iid!(), sk + SK_DATA_READY)?;
+    k.write(t, iid!(), psock + PSOCK_SAVED_READY, saved)?;
     k.write(
         t,
         iid!(),
@@ -66,12 +66,12 @@ pub fn psock_init(k: &Kctx, t: Tid, fd: u64) -> i64 {
         k.fns
             .lookup("sk_psock_verdict_recv")
             .expect("registered at boot"),
-    );
+    )?;
     if !k.bug(BugId::PsockSavedReady) {
         // The psock must be fully initialised before the hook can find it.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), sk + SK_PSOCK, psock);
+    k.write_once(t, iid!(), sk + SK_PSOCK, psock)?;
     k.write_once(
         t,
         iid!(),
@@ -79,35 +79,35 @@ pub fn psock_init(k: &Kctx, t: Tid, fd: u64) -> i64 {
         k.fns
             .lookup("sk_psock_verdict_data_ready")
             .expect("registered at boot"),
-    );
-    0
+    )?;
+    Ok(0)
 }
 
 /// Data arrival on the socket: invokes the current `data_ready` callback
 /// (reader of Bug #6).
-pub fn sock_recvmsg(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn sock_recvmsg(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "sock_recvmsg");
-    let ready = k.read_once(t, iid!(), sk + SK_DATA_READY);
-    match k.call_fn(t, ready) {
+    let ready = k.read_once(t, iid!(), sk + SK_DATA_READY)?;
+    match k.call_fn(t, ready)? {
         "sk_psock_verdict_data_ready" => sk_psock_verdict_data_ready(k, t, sk),
-        _ => 0, // sock_def_readable: benign
+        _ => Ok(0), // sock_def_readable: benign
     }
 }
 
-fn sk_psock_verdict_data_ready(k: &Kctx, t: Tid, sk: u64) -> i64 {
+fn sk_psock_verdict_data_ready(k: &Kctx, t: Tid, sk: u64) -> KResult<i64> {
     let _f = k.enter(t, "sk_psock_verdict_data_ready");
-    let psock = k.read_once(t, iid!(), sk + SK_PSOCK);
+    let psock = k.read_once(t, iid!(), sk + SK_PSOCK)?;
     if psock == 0 {
-        return 0; // hook raced with detach: nothing to do
+        return Ok(0); // hook raced with detach: nothing to do
     }
-    let verdict = k.read(t, iid!(), psock + PSOCK_VERDICT);
-    k.call_fn(t, verdict);
-    let saved = k.read(t, iid!(), psock + PSOCK_SAVED_READY);
+    let verdict = k.read(t, iid!(), psock + PSOCK_VERDICT)?;
+    k.call_fn(t, verdict)?;
+    let saved = k.read(t, iid!(), psock + PSOCK_SAVED_READY)?;
     // Chain to the original callback — NULL when the init stores were
     // reordered past the hook installation.
-    k.call_fn(t, saved);
-    0
+    k.call_fn(t, saved)?;
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -120,16 +120,16 @@ mod tests {
     fn in_order_attach_then_recv_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(psock_init(&k, t0, 0), 0);
+        assert_eq!(psock_init(&k, t0, 0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(sock_recvmsg(&k, t1, 0), 0);
+        assert_eq!(sock_recvmsg(&k, t1, 0), Ok(0));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn recv_without_psock_uses_default_path() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(sock_recvmsg(&k, Tid(0), 0), 0);
+        assert_eq!(sock_recvmsg(&k, Tid(0), 0), Ok(0));
         assert!(k.sink.is_empty());
     }
 
@@ -137,18 +137,16 @@ mod tests {
     fn double_attach_rejected() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(psock_init(&k, t, 0), 0);
+        assert_eq!(psock_init(&k, t, 0), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(psock_init(&k, t, 0), EBUSY);
+        assert_eq!(psock_init(&k, t, 0), Ok(EBUSY));
     }
 
     /// The Bug #6 hint: delay the psock field initialisation but let both
     /// publication stores commit (Algorithm 1's third-largest hint for this
     /// group).
     fn delay_psock_init_stores(k: &Kctx, t: Tid) {
-        let iids = profile_store_iids(k, t, |k| {
-            psock_init(k, t, 0);
-        });
+        let iids = profile_store_iids(k, t, |k| psock_init(k, t, 0));
         // Program order: saved_ready, verdict, psock publish, hook install.
         k.engine.delay_store_at(t, iids[0]);
         k.engine.delay_store_at(t, iids[1]);
@@ -160,8 +158,8 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         delay_psock_init_stores(&k, t0);
         let title = expect_crash(&k, |k| {
-            psock_init(k, t0, 0);
-            sock_recvmsg(k, t1, 0);
+            psock_init(k, t0, 0)?;
+            sock_recvmsg(k, t1, 0)
         });
         assert_eq!(
             title,
@@ -175,8 +173,8 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         delay_psock_init_stores(&k, t0);
         expect_no_crash(&k, |k| {
-            psock_init(k, t0, 0);
-            sock_recvmsg(k, t1, 0);
+            psock_init(k, t0, 0)?;
+            sock_recvmsg(k, t1, 0)
         });
     }
 
@@ -186,15 +184,13 @@ mod tests {
         // hook's NULL-psock guard — no crash, matching the kernel.
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        let iids = profile_store_iids(&k, t0, |k| {
-            psock_init(k, t0, 0);
-        });
+        let iids = profile_store_iids(&k, t0, |k| psock_init(k, t0, 0));
         for &iid in &iids[..3] {
             k.engine.delay_store_at(t0, iid);
         }
         expect_no_crash(&k, |k| {
-            psock_init(k, t0, 0);
-            sock_recvmsg(k, t1, 0);
+            psock_init(k, t0, 0)?;
+            sock_recvmsg(k, t1, 0)
         });
     }
 }

@@ -7,6 +7,14 @@
 //! stores and version loads exactly as it would with the paper's LLVM
 //! instrumentation. Each historical bug is guarded by a
 //! [`BugId`](crate::bugs::BugId) switch selecting the pre-fix variant.
+//!
+//! An access that can fault returns a [`KResult`](crate::kctx::KResult),
+//! and kernel code propagates the oops with `?`, so a dead task runs no
+//! further kernel code. Instruction ids are source positions: `iid!()`
+//! records file, line and column, and the golden traces pin them. An edit
+//! that moves an instrumented access changes every pinned trace and digest
+//! that contains it, which is why `in_xmit_busy` and `page_buffers_busy`
+//! call their CPU `me` (the name keeps their test-and-set at its column).
 
 pub mod bpf_psock;
 pub mod buffer_head;

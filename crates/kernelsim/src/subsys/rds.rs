@@ -22,7 +22,7 @@ use oemu::{iid, Tid};
 
 use crate::bitops::{clear_bit, clear_bit_unlock, test_and_set_bit};
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN, EBUSY};
+use crate::kctx::{KResult, Kctx, EAGAIN, EBUSY};
 
 /// Bit index of the transmit lock in `cp_flags`.
 pub const IN_XMIT: u32 = 2;
@@ -74,31 +74,31 @@ fn alloc_msg(k: &Kctx, frags: u64) -> u64 {
     msg
 }
 
-/// `acquire_in_xmit`: Figure 8 left — fully ordered try-lock.
-fn acquire_in_xmit(k: &Kctx, t: Tid, cp: u64) -> bool {
-    !test_and_set_bit(k, t, iid!(), IN_XMIT, cp + CP_FLAGS)
+/// Figure 8 left, `acquire_in_xmit` negated: whether the try-lock failed.
+fn in_xmit_busy(k: &Kctx, me: Tid, cp: u64) -> KResult<bool> {
+    test_and_set_bit(k, me, iid!(), IN_XMIT, cp + CP_FLAGS)
 }
 
 /// `release_in_xmit`: Figure 8 right — the seeded bug is using the
 /// unordered `clear_bit` instead of `clear_bit_unlock`.
-fn release_in_xmit(k: &Kctx, t: Tid, cp: u64) {
+fn release_in_xmit(k: &Kctx, t: Tid, cp: u64) -> KResult<()> {
     if k.bug(BugId::RdsClearBit) {
-        clear_bit(k, t, iid!(), IN_XMIT, cp + CP_FLAGS);
+        clear_bit(k, t, iid!(), IN_XMIT, cp + CP_FLAGS)
     } else {
-        clear_bit_unlock(k, t, iid!(), IN_XMIT, cp + CP_FLAGS);
+        clear_bit_unlock(k, t, iid!(), IN_XMIT, cp + CP_FLAGS)
     }
 }
 
 /// `rds_send_xmit`: under the lock, requeue transmission onto the *other*
 /// message — reset the cursor, then switch the message pointer.
-pub fn rds_send_xmit(k: &Kctx, t: Tid) -> i64 {
+pub fn rds_send_xmit(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "rds_send_xmit");
     let g = k.globals();
     let cp = g.rds.cp;
-    if !acquire_in_xmit(k, t, cp) {
-        return EBUSY;
+    if in_xmit_busy(k, t, cp)? {
+        return Ok(EBUSY);
     }
-    let cur = k.read(t, iid!(), cp + CP_XMIT_MSG);
+    let cur = k.read(t, iid!(), cp + CP_XMIT_MSG)?;
     let next = if cur == g.rds.msg_big {
         g.rds.msg_small
     } else {
@@ -107,35 +107,35 @@ pub fn rds_send_xmit(k: &Kctx, t: Tid) -> i64 {
     // Invariant: `xmit_sg < msg->m_len`. The reset must be visible no later
     // than the message switch — which only the release-ordered unlock
     // guarantees.
-    k.write(t, iid!(), cp + CP_XMIT_SG, 0);
-    k.write(t, iid!(), cp + CP_XMIT_MSG, next);
-    release_in_xmit(k, t, cp);
-    0
+    k.write(t, iid!(), cp + CP_XMIT_SG, 0)?;
+    k.write(t, iid!(), cp + CP_XMIT_MSG, next)?;
+    release_in_xmit(k, t, cp)?;
+    Ok(0)
 }
 
 /// `rds_loop_xmit`: under the lock, transmit the next fragment of the
 /// current message and advance the cursor (wrapping at the end).
-pub fn rds_loop_xmit(k: &Kctx, t: Tid) -> i64 {
+pub fn rds_loop_xmit(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "rds_loop_xmit");
     let g = k.globals();
     let cp = g.rds.cp;
-    if !acquire_in_xmit(k, t, cp) {
-        return EBUSY;
+    if in_xmit_busy(k, t, cp)? {
+        return Ok(EBUSY);
     }
-    let msg = k.read(t, iid!(), cp + CP_XMIT_MSG);
+    let msg = k.read(t, iid!(), cp + CP_XMIT_MSG)?;
     if msg == 0 {
-        release_in_xmit(k, t, cp);
-        return EAGAIN;
+        release_in_xmit(k, t, cp)?;
+        return Ok(EAGAIN);
     }
-    let sg = k.read(t, iid!(), cp + CP_XMIT_SG);
+    let sg = k.read(t, iid!(), cp + CP_XMIT_SG)?;
     // The loopback transport trusts the under-lock invariant and fetches
     // the fragment without a bounds check, like the upstream code did.
-    let frag = k.read(t, iid!(), msg + MSG_DATA + sg * 8);
-    let m_len = k.read(t, iid!(), msg + MSG_LEN);
+    let frag = k.read(t, iid!(), msg + MSG_DATA + sg * 8)?;
+    let m_len = k.read(t, iid!(), msg + MSG_LEN)?;
     let next_sg = if sg + 1 >= m_len { 0 } else { sg + 1 };
-    k.write(t, iid!(), cp + CP_XMIT_SG, next_sg);
-    release_in_xmit(k, t, cp);
-    frag as i64
+    k.write(t, iid!(), cp + CP_XMIT_SG, next_sg)?;
+    release_in_xmit(k, t, cp)?;
+    Ok(frag as i64)
 }
 
 #[cfg(test)]
@@ -150,12 +150,12 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let t = Tid(0);
         // Advance the cursor on the big message, then requeue twice.
-        assert_eq!(rds_loop_xmit(&k, t), 0xAA00);
-        assert_eq!(rds_loop_xmit(&k, t), 0xAA01);
-        assert_eq!(rds_send_xmit(&k, t), 0); // switch to small
-        assert_eq!(rds_loop_xmit(&k, t), 0xAA00);
-        assert_eq!(rds_send_xmit(&k, t), 0); // back to big
-        assert_eq!(rds_loop_xmit(&k, t), 0xAA00);
+        assert_eq!(rds_loop_xmit(&k, t), Ok(0xAA00));
+        assert_eq!(rds_loop_xmit(&k, t), Ok(0xAA01));
+        assert_eq!(rds_send_xmit(&k, t), Ok(0)); // switch to small
+        assert_eq!(rds_loop_xmit(&k, t), Ok(0xAA00));
+        assert_eq!(rds_send_xmit(&k, t), Ok(0)); // back to big
+        assert_eq!(rds_loop_xmit(&k, t), Ok(0xAA00));
         assert!(k.sink.is_empty());
     }
 
@@ -164,20 +164,18 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let cp = k.globals().rds.cp;
-        assert!(acquire_in_xmit(&k, t0, cp));
-        assert_eq!(rds_loop_xmit(&k, t1), EBUSY);
-        assert_eq!(rds_send_xmit(&k, t1), EBUSY);
-        release_in_xmit(&k, t0, cp);
-        assert_eq!(rds_send_xmit(&k, t1), 0);
+        assert!(!in_xmit_busy(&k, t0, cp).unwrap());
+        assert_eq!(rds_loop_xmit(&k, t1), Ok(EBUSY));
+        assert_eq!(rds_send_xmit(&k, t1), Ok(EBUSY));
+        release_in_xmit(&k, t0, cp).unwrap();
+        assert_eq!(rds_send_xmit(&k, t1), Ok(0));
     }
 
     /// Installs the bug-triggering forcing: delay the cursor reset inside
     /// `rds_send_xmit`'s critical section so the (relaxed) `clear_bit`
     /// overtakes it.
     fn delay_cursor_reset(k: &Kctx, t: Tid) {
-        let iids = profile_store_iids(k, t, |k| {
-            rds_send_xmit(k, t);
-        });
+        let iids = profile_store_iids(k, t, |k| rds_send_xmit(k, t));
         // Stores in program order: xmit_sg reset, xmit_msg switch. Delay
         // only the reset — the second-largest scheduling hint Algorithm 1
         // would produce for this group.
@@ -189,16 +187,16 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         // Pump the cursor to 1 on the big message.
-        assert_eq!(rds_loop_xmit(&k, t0), 0xAA00);
+        assert_eq!(rds_loop_xmit(&k, t0), Ok(0xAA00));
         k.syscall_exit(t0);
         delay_cursor_reset(&k, t0);
         let title = expect_crash(&k, |k| {
             // The requeue's cursor reset stays in t0's store buffer, but
             // clear_bit commits: the lock looks free with a torn state.
-            rds_send_xmit(k, t0);
+            rds_send_xmit(k, t0)?;
             // t1 acquires the "free" lock and fetches fragment 1 of the
             // one-fragment message.
-            rds_loop_xmit(k, t1);
+            rds_loop_xmit(k, t1)
         });
         assert_eq!(title, "KASAN: slab-out-of-bounds Read in rds_loop_xmit");
     }
@@ -207,12 +205,12 @@ mod tests {
     fn bug1_clear_bit_unlock_fixes_it() {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(rds_loop_xmit(&k, t0), 0xAA00);
+        assert_eq!(rds_loop_xmit(&k, t0), Ok(0xAA00));
         k.syscall_exit(t0);
         delay_cursor_reset(&k, t0);
         expect_no_crash(&k, |k| {
-            rds_send_xmit(k, t0);
-            rds_loop_xmit(k, t1);
+            rds_send_xmit(k, t0)?;
+            rds_loop_xmit(k, t1)
         });
     }
 
@@ -224,8 +222,8 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         delay_cursor_reset(&k, t0);
         expect_no_crash(&k, |k| {
-            rds_send_xmit(k, t0);
-            rds_loop_xmit(k, t1);
+            rds_send_xmit(k, t0)?;
+            rds_loop_xmit(k, t1)
         });
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN};
+use crate::kctx::{KResult, Kctx, EAGAIN};
 
 /// Ring capacity in events (power of two).
 pub const RB_SIZE: u64 = 8;
@@ -43,47 +43,47 @@ pub fn boot(k: &Arc<Kctx>) -> RingBufferGlobals {
 }
 
 /// `ring_buffer_write`: reserve, fill, commit.
-pub fn ring_buffer_write(k: &Kctx, t: Tid, data: u64) -> i64 {
+pub fn ring_buffer_write(k: &Kctx, t: Tid, data: u64) -> KResult<i64> {
     let _f = k.enter(t, "ring_buffer_write");
     let rb = k.globals().ring_buffer.rb;
-    let commit = k.read(t, iid!(), rb + RB_COMMIT);
-    let reader = k.read(t, iid!(), rb + RB_READER);
+    let commit = k.read(t, iid!(), rb + RB_COMMIT)?;
+    let reader = k.read(t, iid!(), rb + RB_READER)?;
     if commit.wrapping_sub(reader) >= RB_SIZE {
-        return EAGAIN; // ring full
+        return Ok(EAGAIN); // ring full
     }
     let ev = rb + RB_EVENTS + (commit % RB_SIZE) * EVENT_STRIDE;
-    k.write(t, iid!(), ev + EV_TYPE, 1); // TYPE_DATA: committed marker
-    k.write(t, iid!(), ev + EV_DATA, data);
+    k.write(t, iid!(), ev + EV_TYPE, 1)?; // TYPE_DATA: committed marker
+    k.write(t, iid!(), ev + EV_DATA, data)?;
     if !k.bug(BugId::ExtRingBuffer) {
         // The [115] fix: the payload must be visible before the commit
         // cursor exposes the entry to a same-page reader.
         k.smp_wmb(t, iid!());
     }
-    k.write(t, iid!(), rb + RB_COMMIT, commit + 1);
-    0
+    k.write(t, iid!(), rb + RB_COMMIT, commit + 1)?;
+    Ok(0)
 }
 
 /// `ring_buffer_read`: consume the next committed entry.
-pub fn ring_buffer_read(k: &Kctx, t: Tid) -> i64 {
+pub fn ring_buffer_read(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "ring_buffer_read");
     let rb = k.globals().ring_buffer.rb;
-    let commit = k.read(t, iid!(), rb + RB_COMMIT);
-    let reader = k.read(t, iid!(), rb + RB_READER);
+    let commit = k.read(t, iid!(), rb + RB_COMMIT)?;
+    let reader = k.read(t, iid!(), rb + RB_READER)?;
     if reader == commit {
-        return EAGAIN; // empty
+        return Ok(EAGAIN); // empty
     }
     if !k.bug(BugId::ExtRingBuffer) {
         // Reader half of the pair: no speculation past the cursor check.
         k.smp_rmb(t, iid!());
     }
     let ev = rb + RB_EVENTS + (reader % RB_SIZE) * EVENT_STRIDE;
-    let ty = k.read(t, iid!(), ev + EV_TYPE);
-    let data = k.read(t, iid!(), ev + EV_DATA);
+    let ty = k.read(t, iid!(), ev + EV_TYPE)?;
+    let data = k.read(t, iid!(), ev + EV_DATA)?;
     // The ring buffer's self-check: an entry below the commit cursor must
     // carry a committed type. Consuming a zero type is the upstream crash.
-    k.bug_on(t, ty == 0, "consumed uninitialised ring entry");
-    k.write(t, iid!(), rb + RB_READER, reader + 1);
-    data as i64
+    k.bug_on(t, ty == 0, "consumed uninitialised ring entry")?;
+    k.write(t, iid!(), rb + RB_READER, reader + 1)?;
+    Ok(data as i64)
 }
 
 #[cfg(test)]
@@ -96,9 +96,9 @@ mod tests {
     fn in_order_write_then_read_roundtrips() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(ring_buffer_write(&k, t0, 0xfeed), 0);
+        assert_eq!(ring_buffer_write(&k, t0, 0xfeed), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(ring_buffer_read(&k, t1), 0xfeed);
+        assert_eq!(ring_buffer_read(&k, t1), Ok(0xfeed));
         assert!(k.sink.is_empty());
     }
 
@@ -106,12 +106,12 @@ mod tests {
     fn empty_and_full_conditions() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(ring_buffer_read(&k, t), EAGAIN, "empty ring");
+        assert_eq!(ring_buffer_read(&k, t), Ok(EAGAIN), "empty ring");
         for i in 0..RB_SIZE {
-            assert_eq!(ring_buffer_write(&k, t, i), 0);
+            assert_eq!(ring_buffer_write(&k, t, i), Ok(0));
             k.syscall_exit(t);
         }
-        assert_eq!(ring_buffer_write(&k, t, 99), EAGAIN, "full ring");
+        assert_eq!(ring_buffer_write(&k, t, 99), Ok(EAGAIN), "full ring");
     }
 
     #[test]
@@ -121,9 +121,9 @@ mod tests {
         for round in 0..3 {
             for i in 0..RB_SIZE {
                 let v = round * 100 + i;
-                assert_eq!(ring_buffer_write(&k, t, v), 0);
+                assert_eq!(ring_buffer_write(&k, t, v), Ok(0));
                 k.syscall_exit(t);
-                assert_eq!(ring_buffer_read(&k, t), v as i64);
+                assert_eq!(ring_buffer_read(&k, t), Ok(v as i64));
                 k.syscall_exit(t);
             }
         }
@@ -134,10 +134,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                ring_buffer_write(k, t0, 0xfeed);
-            });
-            ring_buffer_read(k, t1);
+            delay_all_plain_stores_during(k, t0, |k| ring_buffer_write(k, t0, 0xfeed))?;
+            ring_buffer_read(k, t1)
         });
         assert_eq!(
             title,
@@ -150,11 +148,10 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                ring_buffer_write(k, t0, 0xfeed);
-            });
-            let r = ring_buffer_read(k, t1);
+            delay_all_plain_stores_during(k, t0, |k| ring_buffer_write(k, t0, 0xfeed))?;
+            let r = ring_buffer_read(k, t1)?;
             assert!(r == 0xfeed || r == EAGAIN);
+            Ok(())
         });
     }
 }

@@ -22,7 +22,7 @@ use oemu::{iid, Tid};
 
 use crate::bitops::{test_and_set_bit, test_bit};
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN, MAX_CPUS};
+use crate::kctx::{KResult, Kctx, EAGAIN, MAX_CPUS};
 
 // struct sbitmap_queue layout.
 const SBQ_WORD: u64 = 0x00;
@@ -52,46 +52,46 @@ pub fn boot(k: &Arc<Kctx>) -> SbitmapGlobals {
 /// `sbitmap_queue_clear` (the `sbq_wake_up` path): retire the current
 /// instance of this CPU's slot, install a fresh one, and clear the
 /// allocation bit (Known #6 writer).
-pub fn sbitmap_queue_clear(k: &Kctx, t: Tid) -> i64 {
+pub fn sbitmap_queue_clear(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "sbitmap_queue_clear");
     let g = k.globals();
     let sbq = g.sbitmap.sbq;
     let cpu = k.cpu_of(t) as u64;
     let slot = sbq + SBQ_SLOTS + cpu * 8;
-    if !test_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD) {
-        return EAGAIN; // slot is already free
+    if !test_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD)? {
+        return Ok(EAGAIN); // slot is already free
     }
-    let old = k.read(t, iid!(), slot);
+    let old = k.read(t, iid!(), slot)?;
     if old != 0 {
-        k.kfree(t, old);
+        k.kfree(t, old)?;
     }
     let fresh = k.kzalloc(16, "sbq_wait_state");
-    k.write(t, iid!(), fresh, 0x6c);
-    k.write(t, iid!(), slot, fresh);
+    k.write(t, iid!(), fresh, 0x6c)?;
+    k.write(t, iid!(), slot, fresh)?;
     if !k.bug(BugId::KnownSbitmap) {
         // The [60] fix: the new instance must be visible before the bit
         // clear makes the slot allocatable.
         k.smp_wmb(t, iid!());
     }
     // clear_bit is atomic but unordered — the same shape as Figure 8.
-    crate::bitops::clear_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD);
-    0
+    crate::bitops::clear_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD)?;
+    Ok(0)
 }
 
 /// `sbitmap_queue_get`: allocate this CPU's slot and read its instance
 /// (Known #6 reader).
-pub fn sbitmap_queue_get(k: &Kctx, t: Tid) -> i64 {
+pub fn sbitmap_queue_get(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "sbitmap_queue_get");
     let g = k.globals();
     let sbq = g.sbitmap.sbq;
     let cpu = k.cpu_of(t) as u64;
-    if test_and_set_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD) {
-        return EAGAIN; // slot busy
+    if test_and_set_bit(k, t, iid!(), cpu as u32, sbq + SBQ_WORD)? {
+        return Ok(EAGAIN); // slot busy
     }
-    let inst = k.read(t, iid!(), sbq + SBQ_SLOTS + cpu * 8);
+    let inst = k.read(t, iid!(), sbq + SBQ_SLOTS + cpu * 8)?;
     // Touch the instance: a stale pointer here is a read of a freed object.
-    let tag = k.read(t, iid!(), inst);
-    tag as i64
+    let tag = k.read(t, iid!(), inst)?;
+    Ok(tag as i64)
 }
 
 #[cfg(test)]
@@ -104,33 +104,31 @@ mod tests {
     fn in_order_clear_then_get_works() {
         let k = Kctx::new(BugSwitches::all());
         let t = Tid(0);
-        assert_eq!(sbitmap_queue_clear(&k, t), 0);
+        assert_eq!(sbitmap_queue_clear(&k, t), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(sbitmap_queue_get(&k, t), 0x6c);
+        assert_eq!(sbitmap_queue_get(&k, t), Ok(0x6c));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn get_of_busy_slot_is_eagain() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(sbitmap_queue_get(&k, Tid(0)), EAGAIN, "boot slots busy");
+        assert_eq!(sbitmap_queue_get(&k, Tid(0)), Ok(EAGAIN), "boot slots busy");
     }
 
     #[test]
     fn clear_of_free_slot_is_eagain() {
         let k = Kctx::new(BugSwitches::all());
         let t = Tid(0);
-        sbitmap_queue_clear(&k, t);
+        sbitmap_queue_clear(&k, t).unwrap();
         k.syscall_exit(t);
-        assert_eq!(sbitmap_queue_clear(&k, t), EAGAIN);
+        assert_eq!(sbitmap_queue_clear(&k, t), Ok(EAGAIN));
     }
 
     /// Delays the writer's instance-install store, letting the relaxed
     /// clear_bit overtake it — the Known #6 reordering.
     fn delay_instance_install(k: &Kctx, t: Tid) {
-        let iids = profile_store_iids(k, t, |k| {
-            sbitmap_queue_clear(k, t);
-        });
+        let iids = profile_store_iids(k, t, |k| sbitmap_queue_clear(k, t));
         // Stores in program order: fresh-instance tag, slot install.
         k.engine.delay_store_at(t, iids[1]);
     }
@@ -144,9 +142,10 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         delay_instance_install(&k, t0);
         expect_no_crash(&k, |k| {
-            sbitmap_queue_clear(k, t0);
-            let r = sbitmap_queue_get(k, t1);
+            sbitmap_queue_clear(k, t0)?;
+            let r = sbitmap_queue_get(k, t1)?;
             assert_eq!(r, EAGAIN, "cpu1's slot is still busy from boot");
+            Ok(())
         });
     }
 
@@ -159,8 +158,8 @@ mod tests {
         k.set_migration_override(true);
         delay_instance_install(&k, t0);
         let title = expect_crash(&k, |k| {
-            sbitmap_queue_clear(k, t0);
-            sbitmap_queue_get(k, t1);
+            sbitmap_queue_clear(k, t0)?;
+            sbitmap_queue_get(k, t1)
         });
         assert_eq!(title, "KASAN: use-after-free Read in sbitmap_queue_get");
     }
@@ -172,9 +171,10 @@ mod tests {
         k.set_migration_override(true);
         delay_instance_install(&k, t0);
         expect_no_crash(&k, |k| {
-            sbitmap_queue_clear(k, t0);
-            let r = sbitmap_queue_get(k, t1);
+            sbitmap_queue_clear(k, t0)?;
+            let r = sbitmap_queue_get(k, t1)?;
             assert_eq!(r, 0x6c);
+            Ok(())
         });
     }
 }

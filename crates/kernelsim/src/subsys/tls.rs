@@ -21,7 +21,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN, EBADF, EBUSY};
+use crate::kctx::{KResult, Kctx, EAGAIN, EBADF, EBUSY};
 
 /// Number of TLS-capable sockets.
 pub const NSOCKS: usize = 2;
@@ -87,46 +87,46 @@ fn sock(k: &Kctx, fd: u64) -> Option<u64> {
 }
 
 /// `tls_init`: Figure 7 lines 3-11 (Thread A).
-pub fn tls_init(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn tls_init(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "tls_init");
     let g = k.globals();
-    if k.read(t, iid!(), sk + SK_DATA) != 0 {
-        return EBUSY; // TLS already initialised on this socket
+    if k.read(t, iid!(), sk + SK_DATA)? != 0 {
+        return Ok(EBUSY); // TLS already initialised on this socket
     }
     let ctx = k.kzalloc(16, "tls_context"); // line 4: kzalloc
-    k.write(t, iid!(), sk + SK_DATA, ctx); // line 5
-    let prot = k.read_once(t, iid!(), sk + SK_PROT); // line 7
-    k.write(t, iid!(), ctx + CTX_SK_PROTO, prot); // line 6
-    k.write(t, iid!(), ctx + CTX_TX_CONF, 1);
+    k.write(t, iid!(), sk + SK_DATA, ctx)?; // line 5
+    let prot = k.read_once(t, iid!(), sk + SK_PROT)?; // line 7
+    k.write(t, iid!(), ctx + CTX_SK_PROTO, prot)?; // line 6
+    k.write(t, iid!(), ctx + CTX_TX_CONF, 1)?;
     if !k.bug(BugId::TlsSkProt) {
         // Line 8: the barrier the mis-fix omitted.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), sk + SK_PROT, g.tls.tls_prots); // lines 9-10
-    0
+    k.write_once(t, iid!(), sk + SK_PROT, g.tls.tls_prots)?; // lines 9-10
+    Ok(0)
 }
 
 /// `sock_common_setsockopt`: Figure 7 lines 18-22 (Thread B).
-pub fn sock_setsockopt(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn sock_setsockopt(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "sock_common_setsockopt");
-    let prot = k.read_once(t, iid!(), sk + SK_PROT); // line 20
-    let f = k.read(t, iid!(), prot + PROT_SETSOCKOPT);
-    match k.call_fn(t, f) {
+    let prot = k.read_once(t, iid!(), sk + SK_PROT)?; // line 20
+    let f = k.read(t, iid!(), prot + PROT_SETSOCKOPT)?;
+    match k.call_fn(t, f)? {
         "tls_setsockopt" => tls_setsockopt(k, t, sk),
-        _ => 0, // tcp_setsockopt: benign
+        _ => Ok(0), // tcp_setsockopt: benign
     }
 }
 
 /// `tls_setsockopt`: Figure 7 lines 25-30.
-fn tls_setsockopt(k: &Kctx, t: Tid, sk: u64) -> i64 {
+fn tls_setsockopt(k: &Kctx, t: Tid, sk: u64) -> KResult<i64> {
     let _f = k.enter(t, "tls_setsockopt");
-    let ctx = k.read(t, iid!(), sk + SK_DATA); // line 26-27
-    let sk_proto = k.read(t, iid!(), ctx + CTX_SK_PROTO); // line 28
-    let f = k.read(t, iid!(), sk_proto + PROT_SETSOCKOPT);
-    k.call_fn(t, f); // line 29
-    0
+    let ctx = k.read(t, iid!(), sk + SK_DATA)?; // line 26-27
+    let sk_proto = k.read(t, iid!(), ctx + CTX_SK_PROTO)?; // line 28
+    let f = k.read(t, iid!(), sk_proto + PROT_SETSOCKOPT)?;
+    k.call_fn(t, f)?; // line 29
+    Ok(0)
 }
 
 /// `sock_common_getsockopt`, dispatching to `tls_getsockopt` (Bug #5, L-L).
@@ -138,56 +138,56 @@ fn tls_setsockopt(k: &Kctx, t: Tid, sk: u64) -> i64 {
 /// a function boundary, which §7 highlights as beyond KCSAN's single-access
 /// model. The fix annotates the dispatch load, which OEMU honours as an
 /// implied load barrier (§3.2, LKMM Case 6).
-pub fn sock_getsockopt(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn sock_getsockopt(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "sock_common_getsockopt");
     let prot = if k.bug(BugId::TlsGetsockopt) {
-        k.read(t, iid!(), sk + SK_PROT)
+        k.read(t, iid!(), sk + SK_PROT)?
     } else {
-        k.read_once(t, iid!(), sk + SK_PROT)
+        k.read_once(t, iid!(), sk + SK_PROT)?
     };
-    let f = k.read(t, iid!(), prot + PROT_GETSOCKOPT);
-    match k.call_fn(t, f) {
+    let f = k.read(t, iid!(), prot + PROT_GETSOCKOPT)?;
+    match k.call_fn(t, f)? {
         "tls_getsockopt" => tls_getsockopt(k, t, sk),
-        _ => 0, // tcp_getsockopt: benign
+        _ => Ok(0), // tcp_getsockopt: benign
     }
 }
 
 /// `tls_getsockopt`: reads the TLS context published by [`tls_init`]; the
 /// crash site of Bug #5.
-fn tls_getsockopt(k: &Kctx, t: Tid, sk: u64) -> i64 {
+fn tls_getsockopt(k: &Kctx, t: Tid, sk: u64) -> KResult<i64> {
     let _f = k.enter(t, "tls_getsockopt");
-    let ctx = k.read(t, iid!(), sk + SK_DATA);
-    let sk_proto = k.read(t, iid!(), ctx + CTX_SK_PROTO);
-    let f = k.read(t, iid!(), sk_proto + PROT_GETSOCKOPT);
-    k.call_fn(t, f);
-    0
+    let ctx = k.read(t, iid!(), sk + SK_DATA)?;
+    let sk_proto = k.read(t, iid!(), ctx + CTX_SK_PROTO)?;
+    let f = k.read(t, iid!(), sk_proto + PROT_GETSOCKOPT)?;
+    k.call_fn(t, f)?;
+    Ok(0)
 }
 
 /// `tls_err_abort` (Known #8 \[50\], S-S): record the error, then publish
 /// completion. Without the barrier the done flag can become visible first.
-pub fn tls_err_abort(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn tls_err_abort(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "tls_err_abort");
-    k.write(t, iid!(), sk + SK_ERR, TLS_ERR);
+    k.write(t, iid!(), sk + SK_ERR, TLS_ERR)?;
     if !k.bug(BugId::KnownTlsErr) {
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), sk + SK_DONE, 1);
-    0
+    k.write_once(t, iid!(), sk + SK_DONE, 1)?;
+    Ok(0)
 }
 
 /// Poll side of Known #8: returns the error once done, `EAGAIN` before.
 /// The buggy reordering makes this return 0 — a wrong value, the paper's
 /// `✓*` symptom — instead of [`TLS_ERR`].
-pub fn tls_poll_err(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(sk) = sock(k, fd) else { return EBADF };
+pub fn tls_poll_err(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(sk) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "tls_poll_err");
-    let done = k.read_once(t, iid!(), sk + SK_DONE);
+    let done = k.read_once(t, iid!(), sk + SK_DONE)?;
     if done == 0 {
-        return EAGAIN;
+        return Ok(EAGAIN);
     }
-    k.read(t, iid!(), sk + SK_ERR) as i64
+    k.read(t, iid!(), sk + SK_ERR).map(|v| v as i64)
 }
 
 #[cfg(test)]
@@ -203,17 +203,17 @@ mod tests {
     fn in_order_init_then_setsockopt_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(tls_init(&k, t0, 0), 0);
+        assert_eq!(tls_init(&k, t0, 0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(sock_setsockopt(&k, t1, 0), 0);
-        assert_eq!(sock_getsockopt(&k, t1, 0), 0);
+        assert_eq!(sock_setsockopt(&k, t1, 0), Ok(0));
+        assert_eq!(sock_getsockopt(&k, t1, 0), Ok(0));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn setsockopt_before_init_uses_tcp_path() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(sock_setsockopt(&k, Tid(0), 0), 0);
+        assert_eq!(sock_setsockopt(&k, Tid(0), 0), Ok(0));
         assert!(k.sink.is_empty());
     }
 
@@ -221,16 +221,16 @@ mod tests {
     fn double_init_returns_ebusy() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(tls_init(&k, t, 0), 0);
+        assert_eq!(tls_init(&k, t, 0), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(tls_init(&k, t, 0), EBUSY);
+        assert_eq!(tls_init(&k, t, 0), Ok(EBUSY));
     }
 
     #[test]
     fn bad_fd_rejected() {
         let k = Kctx::new(BugSwitches::none());
-        assert_eq!(tls_init(&k, Tid(0), 99), EBADF);
-        assert_eq!(sock_setsockopt(&k, Tid(0), 99), EBADF);
+        assert_eq!(tls_init(&k, Tid(0), 99), Ok(EBADF));
+        assert_eq!(sock_setsockopt(&k, Tid(0), 99), Ok(EBADF));
     }
 
     #[test]
@@ -240,10 +240,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                tls_init(k, t0, 0);
-            });
-            sock_setsockopt(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| tls_init(k, t0, 0))?;
+            sock_setsockopt(k, t1, 0)
         });
         assert_eq!(
             title,
@@ -256,10 +254,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                tls_init(k, t0, 0);
-            });
-            sock_setsockopt(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| tls_init(k, t0, 0))?;
+            sock_setsockopt(k, t1, 0)
         });
     }
 
@@ -271,19 +267,18 @@ mod tests {
         let k = Kctx::new(BugSwitches::only([BugId::TlsGetsockopt]));
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            tls_init(k, t0, 0);
+            tls_init(k, t0, 0)?;
             k.syscall_exit(t0);
             version_all_plain_loads_with_setup(
                 k,
                 t1,
                 |k| {
-                    tls_init(k, t0, 0);
+                    tls_init(k, t0, 0)?;
                     k.syscall_exit(t0);
+                    Ok(())
                 },
-                |k| {
-                    sock_getsockopt(k, t1, 0);
-                },
-            );
+                |k| sock_getsockopt(k, t1, 0),
+            )
         });
         assert_eq!(
             title,
@@ -298,19 +293,18 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            tls_init(k, t0, 0);
+            tls_init(k, t0, 0)?;
             k.syscall_exit(t0);
             version_all_plain_loads_with_setup(
                 k,
                 t1,
                 |k| {
-                    tls_init(k, t0, 0);
+                    tls_init(k, t0, 0)?;
                     k.syscall_exit(t0);
+                    Ok(())
                 },
-                |k| {
-                    sock_getsockopt(k, t1, 0);
-                },
-            );
+                |k| sock_getsockopt(k, t1, 0),
+            )
         });
     }
 
@@ -320,10 +314,8 @@ mod tests {
         // without the error code.
         let k = Kctx::new(BugSwitches::only([BugId::KnownTlsErr]));
         let (t0, t1) = (Tid(0), Tid(1));
-        delay_all_plain_stores_during(&k, t0, |k| {
-            tls_err_abort(k, t0, 0);
-        });
-        assert_eq!(tls_poll_err(&k, t1, 0), 0, "wrong value: error lost");
+        delay_all_plain_stores_during(&k, t0, |k| tls_err_abort(k, t0, 0)).unwrap();
+        assert_eq!(tls_poll_err(&k, t1, 0), Ok(0), "wrong value: error lost");
         assert!(k.sink.is_empty(), "no oracle fires for wrong values");
     }
 
@@ -331,15 +323,13 @@ mod tests {
     fn known8_fixed_kernel_returns_error() {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
-        delay_all_plain_stores_during(&k, t0, |k| {
-            tls_err_abort(k, t0, 0);
-        });
-        assert_eq!(tls_poll_err(&k, t1, 0), TLS_ERR as i64);
+        delay_all_plain_stores_during(&k, t0, |k| tls_err_abort(k, t0, 0)).unwrap();
+        assert_eq!(tls_poll_err(&k, t1, 0), Ok(TLS_ERR as i64));
     }
 
     #[test]
     fn poll_before_abort_is_eagain() {
         let k = Kctx::new(BugSwitches::none());
-        assert_eq!(tls_poll_err(&k, Tid(0), 0), EAGAIN);
+        assert_eq!(tls_poll_err(&k, Tid(0), 0), Ok(EAGAIN));
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EBADF, EBUSY, EINVAL};
+use crate::kctx::{KResult, Kctx, EBADF, EBUSY, EINVAL};
 
 /// Number of unix sockets.
 pub const NSOCKS: usize = 2;
@@ -42,40 +42,40 @@ fn sock(k: &Kctx, fd: u64) -> Option<u64> {
 
 /// `unix_bind`: builds and publishes the socket address (writer side —
 /// correctly release-ordered).
-pub fn unix_bind(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(u) = sock(k, fd) else { return EBADF };
+pub fn unix_bind(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(u) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "unix_bind");
-    if k.read(t, iid!(), u + U_ADDR) != 0 {
-        return EBUSY; // already bound
+    if k.read(t, iid!(), u + U_ADDR)? != 0 {
+        return Ok(EBUSY); // already bound
     }
     let addr = k.kzalloc(16, "unix_address");
     let name = k.kzalloc(16, "sun_path");
-    k.write(t, iid!(), name, 0x2f746d70); // "/tmp"
-    k.write(t, iid!(), addr + ADDR_NAME, name);
-    k.write(t, iid!(), addr + ADDR_LEN, 4);
-    k.store_release(t, iid!(), u + U_ADDR, addr);
-    0
+    k.write(t, iid!(), name, 0x2f746d70)?; // "/tmp"
+    k.write(t, iid!(), addr + ADDR_NAME, name)?;
+    k.write(t, iid!(), addr + ADDR_LEN, 4)?;
+    k.store_release(t, iid!(), u + U_ADDR, addr)?;
+    Ok(0)
 }
 
 /// `unix_getname`: lockless read of the bound address (Known #9 reader).
-pub fn unix_getname(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(u) = sock(k, fd) else { return EBADF };
+pub fn unix_getname(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(u) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "unix_getname");
     let addr = if k.bug(BugId::KnownUnix) {
         // Buggy: plain load, unpaired with the writer's release.
-        k.read(t, iid!(), u + U_ADDR)
+        k.read(t, iid!(), u + U_ADDR)?
     } else {
         // The [106] fix: acquire load pairing.
-        k.load_acquire(t, iid!(), u + U_ADDR)
+        k.load_acquire(t, iid!(), u + U_ADDR)?
     };
     if addr == 0 {
-        return EINVAL; // autobind: no name yet
+        return Ok(EINVAL); // autobind: no name yet
     }
-    let name = k.read(t, iid!(), addr + ADDR_NAME);
-    let first = k.read(t, iid!(), name);
-    let len = k.read(t, iid!(), addr + ADDR_LEN);
+    let name = k.read(t, iid!(), addr + ADDR_NAME)?;
+    let first = k.read(t, iid!(), name)?;
+    let len = k.read(t, iid!(), addr + ADDR_LEN)?;
     let _ = first;
-    len as i64
+    Ok(len as i64)
 }
 
 #[cfg(test)]
@@ -88,26 +88,26 @@ mod tests {
     fn in_order_bind_then_getname_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(unix_bind(&k, t0, 0), 0);
+        assert_eq!(unix_bind(&k, t0, 0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(unix_getname(&k, t1, 0), 4);
+        assert_eq!(unix_getname(&k, t1, 0), Ok(4));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn getname_before_bind_is_einval() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(unix_getname(&k, Tid(0), 0), EINVAL);
-        assert_eq!(unix_getname(&k, Tid(0), 9), EBADF);
+        assert_eq!(unix_getname(&k, Tid(0), 0), Ok(EINVAL));
+        assert_eq!(unix_getname(&k, Tid(0), 9), Ok(EBADF));
     }
 
     #[test]
     fn double_bind_rejected() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(unix_bind(&k, t, 1), 0);
+        assert_eq!(unix_bind(&k, t, 1), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(unix_bind(&k, t, 1), EBUSY);
+        assert_eq!(unix_bind(&k, t, 1), Ok(EBUSY));
     }
 
     #[test]
@@ -115,19 +115,18 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            unix_bind(k, t0, 0);
+            unix_bind(k, t0, 0)?;
             k.syscall_exit(t0);
             version_all_plain_loads_with_setup(
                 k,
                 t1,
                 |k| {
-                    unix_bind(k, t0, 0);
+                    unix_bind(k, t0, 0)?;
                     k.syscall_exit(t0);
+                    Ok(())
                 },
-                |k| {
-                    unix_getname(k, t1, 0);
-                },
-            );
+                |k| unix_getname(k, t1, 0),
+            )
         });
         assert_eq!(
             title,
@@ -140,20 +139,22 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            unix_bind(k, t0, 0);
+            unix_bind(k, t0, 0)?;
             k.syscall_exit(t0);
             version_all_plain_loads_with_setup(
                 k,
                 t1,
                 |k| {
-                    unix_bind(k, t0, 0);
+                    unix_bind(k, t0, 0)?;
                     k.syscall_exit(t0);
+                    Ok(())
                 },
                 |k| {
-                    let r = unix_getname(k, t1, 0);
+                    let r = unix_getname(k, t1, 0)?;
                     assert!(r == 4 || r == EINVAL);
+                    Ok(())
                 },
-            );
+            )
         });
     }
 }

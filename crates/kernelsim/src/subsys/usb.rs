@@ -19,7 +19,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EBUSY, EINVAL};
+use crate::kctx::{KResult, Kctx, EBUSY, EINVAL};
 
 // struct urb layout.
 const URB_REJECT: u64 = 0x00;
@@ -41,10 +41,10 @@ pub fn boot(k: &Arc<Kctx>) -> UsbGlobals {
 }
 
 /// `usb_kill_urb`: reject further submissions, then check for users.
-pub fn usb_kill_urb(k: &Kctx, t: Tid) -> i64 {
+pub fn usb_kill_urb(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "usb_kill_urb");
     let urb = k.globals().usb.urb;
-    k.write(t, iid!(), urb + URB_REJECT, 1);
+    k.write(t, iid!(), urb + URB_REJECT, 1)?;
     if !k.bug(BugId::ExtUsbKillUrb) {
         // The [95] fix: the reject store must be visible before the
         // use-count check — a full barrier, since it orders a store
@@ -57,65 +57,65 @@ pub fn usb_kill_urb(k: &Kctx, t: Tid) -> i64 {
     // observe the pre-completion state (a load-load reorder the fuzzer
     // found against an earlier, mb-only version of this function).
     let users = if k.bug(BugId::ExtUsbKillUrb) {
-        k.read(t, iid!(), urb + URB_USE_COUNT)
+        k.read(t, iid!(), urb + URB_USE_COUNT)?
     } else {
-        k.load_acquire(t, iid!(), urb + URB_USE_COUNT)
+        k.load_acquire(t, iid!(), urb + URB_USE_COUNT)?
     };
     if users != 0 {
         // Someone is mid-submit: they will observe reject and back out.
-        return EBUSY;
+        return Ok(EBUSY);
     }
     // No users and reject is (supposedly) visible: the URB is dead. A
     // submission in flight at this point means the SB reordering happened —
     // upstream, this is where usb_kill_urb slept forever.
     k.bug_on(
         t,
-        k.read(t, iid!(), urb + URB_IN_FLIGHT) == 1,
+        k.read(t, iid!(), urb + URB_IN_FLIGHT)? == 1,
         "URB killed while in flight",
-    );
-    k.write_once(t, iid!(), urb + URB_KILLED, 1);
-    0
+    )?;
+    k.write_once(t, iid!(), urb + URB_KILLED, 1)?;
+    Ok(0)
 }
 
 /// `usb_submit_urb`: register as a user, then check for rejection. A
 /// successful submission leaves the transfer *in flight* — completion is
 /// asynchronous ([`usb_complete`], the host controller's IRQ).
-pub fn usb_submit_urb(k: &Kctx, t: Tid) -> i64 {
+pub fn usb_submit_urb(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "usb_submit_urb");
     let urb = k.globals().usb.urb;
-    if k.read_once(t, iid!(), urb + URB_KILLED) == 1 {
-        return EINVAL; // already dead
+    if k.read_once(t, iid!(), urb + URB_KILLED)? == 1 {
+        return Ok(EINVAL); // already dead
     }
-    if k.read(t, iid!(), urb + URB_IN_FLIGHT) == 1 {
-        return EBUSY; // one transfer at a time on this URB
+    if k.read(t, iid!(), urb + URB_IN_FLIGHT)? == 1 {
+        return Ok(EBUSY); // one transfer at a time on this URB
     }
-    k.write(t, iid!(), urb + URB_USE_COUNT, 1);
+    k.write(t, iid!(), urb + URB_USE_COUNT, 1)?;
     if !k.bug(BugId::ExtUsbKillUrb) {
         // The submit half of the [95] pair.
         k.smp_mb(t, iid!());
     }
-    let reject = k.read(t, iid!(), urb + URB_REJECT);
+    let reject = k.read(t, iid!(), urb + URB_REJECT)?;
     if reject == 1 {
         // Back out: the killer is waiting for use_count to drop.
-        k.write(t, iid!(), urb + URB_USE_COUNT, 0);
-        return EINVAL;
+        k.write(t, iid!(), urb + URB_USE_COUNT, 0)?;
+        return Ok(EINVAL);
     }
     // Hand the transfer to the host controller.
-    k.write(t, iid!(), urb + URB_IN_FLIGHT, 1);
-    0
+    k.write(t, iid!(), urb + URB_IN_FLIGHT, 1)?;
+    Ok(0)
 }
 
 /// `usb_complete`: the host controller's completion interrupt — retires
 /// the in-flight transfer and drops the use count.
-pub fn usb_complete(k: &Kctx, t: Tid) -> i64 {
+pub fn usb_complete(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "usb_hcd_giveback_urb");
     let urb = k.globals().usb.urb;
-    if k.read(t, iid!(), urb + URB_IN_FLIGHT) == 0 {
-        return EINVAL; // nothing in flight
+    if k.read(t, iid!(), urb + URB_IN_FLIGHT)? == 0 {
+        return Ok(EINVAL); // nothing in flight
     }
-    k.write(t, iid!(), urb + URB_IN_FLIGHT, 0);
-    k.store_release(t, iid!(), urb + URB_USE_COUNT, 0);
-    0
+    k.write(t, iid!(), urb + URB_IN_FLIGHT, 0)?;
+    k.store_release(t, iid!(), urb + URB_USE_COUNT, 0)?;
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -132,19 +132,19 @@ mod tests {
     fn in_order_submit_complete_kill() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(usb_submit_urb(&k, t0), 0);
+        assert_eq!(usb_submit_urb(&k, t0), Ok(0));
         k.syscall_exit(t0);
         assert_eq!(
-            usb_kill_urb(&k, t1),
+            usb_kill_urb(&k, t1).unwrap(),
             EBUSY,
             "in-flight transfer blocks kill"
         );
         k.syscall_exit(t1);
-        assert_eq!(usb_complete(&k, t0), 0);
+        assert_eq!(usb_complete(&k, t0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(usb_kill_urb(&k, t1), 0);
+        assert_eq!(usb_kill_urb(&k, t1), Ok(0));
         k.syscall_exit(t1);
-        assert_eq!(usb_submit_urb(&k, t0), EINVAL, "killed URB rejects");
+        assert_eq!(usb_submit_urb(&k, t0), Ok(EINVAL), "killed URB rejects");
         assert!(k.sink.is_empty());
     }
 
@@ -152,21 +152,21 @@ mod tests {
     fn double_submit_is_ebusy() {
         let k = Kctx::new(BugSwitches::all());
         let t = Tid(0);
-        assert_eq!(usb_submit_urb(&k, t), 0);
+        assert_eq!(usb_submit_urb(&k, t), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(usb_submit_urb(&k, t), EBUSY);
-        assert_eq!(usb_complete(&k, t), 0);
+        assert_eq!(usb_submit_urb(&k, t), Ok(EBUSY));
+        assert_eq!(usb_complete(&k, t), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(usb_complete(&k, t), EINVAL, "nothing left in flight");
+        assert_eq!(usb_complete(&k, t), Ok(EINVAL), "nothing left in flight");
     }
 
     #[test]
     fn in_order_kill_then_submit() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(usb_kill_urb(&k, t0), 0);
+        assert_eq!(usb_kill_urb(&k, t0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(usb_submit_urb(&k, t1), EINVAL);
+        assert_eq!(usb_submit_urb(&k, t1), Ok(EINVAL));
         assert!(k.sink.is_empty());
     }
 
@@ -177,7 +177,7 @@ mod tests {
         let trace = {
             let scratch = Kctx::new(k.switches().clone());
             scratch.engine.set_profiling(true);
-            usb_kill_urb(&scratch, Tid(0));
+            usb_kill_urb(&scratch, Tid(0)).unwrap();
             scratch.engine.take_profile(Tid(0))
         };
         let accesses: Vec<_> = trace.accesses().copied().collect();
@@ -234,13 +234,9 @@ mod tests {
         // the load when only store-ordering is at play.
         let k = Kctx::new(BugSwitches::all());
         let (t0, _t1) = (Tid(0), Tid(1));
-        let iids = profile_store_iids(&k, t0, |k| {
-            usb_kill_urb(k, t0);
-        });
+        let iids = profile_store_iids(&k, t0, |k| usb_kill_urb(k, t0));
         k.engine.delay_store_at(t0, iids[0]);
-        expect_no_crash(&k, |k| {
-            // Alone (no concurrent submit), the reordering is benign.
-            usb_kill_urb(k, t0);
-        });
+        // Alone (no concurrent submit), the reordering is benign.
+        expect_no_crash(&k, |k| usb_kill_urb(k, t0));
     }
 }

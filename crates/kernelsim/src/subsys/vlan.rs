@@ -12,7 +12,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EBADF, EBUSY, EINVAL};
+use crate::kctx::{KResult, Kctx, EBADF, EBUSY, EINVAL};
 
 /// Number of vlan ids on the group.
 pub const NUM_VLANS: u64 = 4;
@@ -39,15 +39,15 @@ pub fn boot(k: &Arc<Kctx>) -> VlanGlobals {
 
 /// `register_vlan_device`: initialises and publishes a vlan device (Known
 /// #1 writer).
-pub fn vlan_add(k: &Kctx, t: Tid, id: u64) -> i64 {
+pub fn vlan_add(k: &Kctx, t: Tid, id: u64) -> KResult<i64> {
     if id >= NUM_VLANS {
-        return EBADF;
+        return Ok(EBADF);
     }
     let _f = k.enter(t, "register_vlan_device");
     let g = k.globals();
     let slot = g.vlan.grp + GRP_ARR + id * 8;
-    if k.read(t, iid!(), slot) != 0 {
-        return EBUSY;
+    if k.read(t, iid!(), slot)? != 0 {
+        return Ok(EBUSY);
     }
     let dev = k.kzalloc(16, "net_device");
     k.write(
@@ -55,32 +55,32 @@ pub fn vlan_add(k: &Kctx, t: Tid, id: u64) -> i64 {
         iid!(),
         dev + DEV_OPS,
         k.fns.lookup("vlan_dev_open").expect("registered at boot"),
-    );
-    k.write(t, iid!(), dev + DEV_MTU, 1500);
+    )?;
+    k.write(t, iid!(), dev + DEV_MTU, 1500)?;
     if !k.bug(BugId::KnownVlan) {
         // The [120] fix: the device must be complete before it is visible
         // through the group array.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), slot, dev);
-    0
+    k.write_once(t, iid!(), slot, dev)?;
+    Ok(0)
 }
 
 /// `vlan_ioctl` → `vlan_dev_ioctl`: looks up the device and calls its ops
 /// (Known #1 reader).
-pub fn vlan_get(k: &Kctx, t: Tid, id: u64) -> i64 {
+pub fn vlan_get(k: &Kctx, t: Tid, id: u64) -> KResult<i64> {
     if id >= NUM_VLANS {
-        return EBADF;
+        return Ok(EBADF);
     }
     let _f = k.enter(t, "vlan_dev_ioctl");
     let g = k.globals();
-    let dev = k.read_once(t, iid!(), g.vlan.grp + GRP_ARR + id * 8);
+    let dev = k.read_once(t, iid!(), g.vlan.grp + GRP_ARR + id * 8)?;
     if dev == 0 {
-        return EINVAL; // no such vlan
+        return Ok(EINVAL); // no such vlan
     }
-    let ops = k.read(t, iid!(), dev + DEV_OPS);
-    k.call_fn(t, ops);
-    k.read(t, iid!(), dev + DEV_MTU) as i64
+    let ops = k.read(t, iid!(), dev + DEV_OPS)?;
+    k.call_fn(t, ops)?;
+    k.read(t, iid!(), dev + DEV_MTU).map(|v| v as i64)
 }
 
 #[cfg(test)]
@@ -93,26 +93,26 @@ mod tests {
     fn in_order_add_then_get_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(vlan_add(&k, t0, 2), 0);
+        assert_eq!(vlan_add(&k, t0, 2), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(vlan_get(&k, t1, 2), 1500);
+        assert_eq!(vlan_get(&k, t1, 2), Ok(1500));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn get_of_missing_vlan_is_einval() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(vlan_get(&k, Tid(0), 1), EINVAL);
+        assert_eq!(vlan_get(&k, Tid(0), 1), Ok(EINVAL));
     }
 
     #[test]
     fn duplicate_id_rejected() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(vlan_add(&k, t, 1), 0);
+        assert_eq!(vlan_add(&k, t, 1), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(vlan_add(&k, t, 1), EBUSY);
-        assert_eq!(vlan_add(&k, t, 99), EBADF);
+        assert_eq!(vlan_add(&k, t, 1), Ok(EBUSY));
+        assert_eq!(vlan_add(&k, t, 99), Ok(EBADF));
     }
 
     #[test]
@@ -120,10 +120,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                vlan_add(k, t0, 2);
-            });
-            vlan_get(k, t1, 2);
+            delay_all_plain_stores_during(k, t0, |k| vlan_add(k, t0, 2))?;
+            vlan_get(k, t1, 2)
         });
         assert_eq!(
             title,
@@ -136,11 +134,10 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                vlan_add(k, t0, 2);
-            });
-            let r = vlan_get(k, t1, 2);
+            delay_all_plain_stores_during(k, t0, |k| vlan_add(k, t0, 2))?;
+            let r = vlan_get(k, t1, 2)?;
             assert!(r == 1500 || r == EINVAL);
+            Ok(())
         });
     }
 }

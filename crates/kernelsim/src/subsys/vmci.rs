@@ -14,7 +14,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN, EBUSY};
+use crate::kctx::{KResult, Kctx, EAGAIN, EBUSY};
 
 /// The `LIST_POISON`-style debug pattern pre-written into wait-queue slots.
 pub const WQ_POISON: u64 = 0xdead_4ead_0000_0100;
@@ -46,45 +46,45 @@ pub fn boot(k: &Arc<Kctx>) -> VmciGlobals {
 
 /// `qp_broker_create`: initialises the queue pair and publishes it (writer
 /// of Bug #3).
-pub fn vmci_qp_create(k: &Kctx, t: Tid) -> i64 {
+pub fn vmci_qp_create(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "qp_broker_create");
     let g = k.globals();
-    if k.read(t, iid!(), g.vmci.broker + BROKER_QP) != 0 {
-        return EBUSY;
+    if k.read(t, iid!(), g.vmci.broker + BROKER_QP)? != 0 {
+        return Ok(EBUSY);
     }
     let wq = k.kzalloc(16, "wait_queue_head");
     // Self-linked empty wait queue.
-    k.write(t, iid!(), wq + WQ_NEXT, wq);
-    k.write(t, iid!(), g.vmci.qp + QP_WQ_HEAD, wq);
-    k.write(t, iid!(), g.vmci.qp + QP_HANDLE, 7);
+    k.write(t, iid!(), wq + WQ_NEXT, wq)?;
+    k.write(t, iid!(), g.vmci.qp + QP_WQ_HEAD, wq)?;
+    k.write(t, iid!(), g.vmci.qp + QP_HANDLE, 7)?;
     if !k.bug(BugId::VmciQueuePair) {
         // The pair must be fully initialised before the broker exposes it.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), g.vmci.broker + BROKER_QP, g.vmci.qp);
-    0
+    k.write_once(t, iid!(), g.vmci.broker + BROKER_QP, g.vmci.qp)?;
+    Ok(0)
 }
 
 /// `qp_broker_attach`: looks up the published pair and sleeps on its wait
 /// queue (reader of Bug #3).
-pub fn vmci_qp_attach(k: &Kctx, t: Tid) -> i64 {
+pub fn vmci_qp_attach(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "qp_broker_attach");
     let g = k.globals();
-    let qp = k.read_once(t, iid!(), g.vmci.broker + BROKER_QP);
+    let qp = k.read_once(t, iid!(), g.vmci.broker + BROKER_QP)?;
     if qp == 0 {
-        return EAGAIN; // not created yet
+        return Ok(EAGAIN); // not created yet
     }
-    let wq = k.read(t, iid!(), qp + QP_WQ_HEAD);
+    let wq = k.read(t, iid!(), qp + QP_WQ_HEAD)?;
     add_wait_queue(k, t, wq)
 }
 
 /// `add_wait_queue`: links the caller onto the wait-queue head. With the
 /// poison pattern still in the head slot, the first touch faults wildly.
-fn add_wait_queue(k: &Kctx, t: Tid, wq: u64) -> i64 {
+fn add_wait_queue(k: &Kctx, t: Tid, wq: u64) -> KResult<i64> {
     let _f = k.enter(t, "add_wait_queue");
-    let first = k.read(t, iid!(), wq + WQ_NEXT);
-    k.write(t, iid!(), wq + WQ_NEXT, first);
-    0
+    let first = k.read(t, iid!(), wq + WQ_NEXT)?;
+    k.write(t, iid!(), wq + WQ_NEXT, first)?;
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -97,25 +97,25 @@ mod tests {
     fn in_order_create_then_attach_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(vmci_qp_create(&k, t0), 0);
+        assert_eq!(vmci_qp_create(&k, t0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(vmci_qp_attach(&k, t1), 0);
+        assert_eq!(vmci_qp_attach(&k, t1), Ok(0));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn attach_before_create_is_eagain() {
         let k = Kctx::new(BugSwitches::all());
-        assert_eq!(vmci_qp_attach(&k, Tid(0)), EAGAIN);
+        assert_eq!(vmci_qp_attach(&k, Tid(0)), Ok(EAGAIN));
     }
 
     #[test]
     fn double_create_rejected() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(vmci_qp_create(&k, t), 0);
+        assert_eq!(vmci_qp_create(&k, t), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(vmci_qp_create(&k, t), EBUSY);
+        assert_eq!(vmci_qp_create(&k, t), Ok(EBUSY));
     }
 
     #[test]
@@ -123,10 +123,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                vmci_qp_create(k, t0);
-            });
-            vmci_qp_attach(k, t1);
+            delay_all_plain_stores_during(k, t0, |k| vmci_qp_create(k, t0))?;
+            vmci_qp_attach(k, t1)
         });
         assert_eq!(title, "general protection fault in add_wait_queue");
     }
@@ -136,10 +134,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                vmci_qp_create(k, t0);
-            });
-            vmci_qp_attach(k, t1);
+            delay_all_plain_stores_during(k, t0, |k| vmci_qp_create(k, t0))?;
+            vmci_qp_attach(k, t1)
         });
     }
 }

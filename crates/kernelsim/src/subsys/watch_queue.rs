@@ -19,7 +19,7 @@ use oemu::{iid, Tid};
 
 use crate::bitops::find_first_bit;
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN};
+use crate::kctx::{KResult, Kctx, EAGAIN};
 
 /// Ring size (power of two).
 pub const RING: u64 = 8;
@@ -67,70 +67,70 @@ pub fn boot(k: &Arc<Kctx>) -> WqGlobals {
 }
 
 /// `watch_queue_set_filter`: installs a notification filter (Bug #2 writer).
-pub fn watch_queue_set_filter(k: &Kctx, t: Tid, nwords: u64) -> i64 {
+pub fn watch_queue_set_filter(k: &Kctx, t: Tid, nwords: u64) -> KResult<i64> {
     let _f = k.enter(t, "watch_queue_set_filter");
     let g = k.globals();
     let nwords = nwords.clamp(1, 4);
     let filt = k.kzalloc(16, "watch_filter");
     let bitmap = k.kzalloc(nwords * 8, "filter_bitmap");
     // Accept type 2 events (arbitrary but non-empty).
-    k.write(t, iid!(), bitmap, 0b100);
-    k.write(t, iid!(), filt + FILT_BITMAP, bitmap);
-    k.write(t, iid!(), filt + FILT_NWORDS, nwords);
+    k.write(t, iid!(), bitmap, 0b100)?;
+    k.write(t, iid!(), filt + FILT_BITMAP, bitmap)?;
+    k.write(t, iid!(), filt + FILT_NWORDS, nwords)?;
     if !k.bug(BugId::WatchQueueFilter) {
         // Upstream fix: the filter contents must be visible before the
         // filter pointer is published.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), g.wq.wqueue + WQ_FILTER, filt);
-    0
+    k.write_once(t, iid!(), g.wq.wqueue + WQ_FILTER, filt)?;
+    Ok(0)
 }
 
 /// `post_one_notification`: Figure 1's left-hand side, preceded by the
 /// filter check that crashes for Bug #2.
-pub fn post_one_notification(k: &Kctx, t: Tid) -> i64 {
+pub fn post_one_notification(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "post_one_notification");
     let g = k.globals();
     // Filter check (Bug #2 reader): an unpublished bitmap pointer reaches
     // `_find_first_bit` as NULL.
-    let filt = k.read_once(t, iid!(), g.wq.wqueue + WQ_FILTER);
+    let filt = k.read_once(t, iid!(), g.wq.wqueue + WQ_FILTER)?;
     if filt != 0 {
-        let bitmap = k.read(t, iid!(), filt + FILT_BITMAP);
-        let nwords = k.read(t, iid!(), filt + FILT_NWORDS);
-        let first = find_first_bit(k, t, iid!(), bitmap, nwords.max(1));
+        let bitmap = k.read(t, iid!(), filt + FILT_BITMAP)?;
+        let nwords = k.read(t, iid!(), filt + FILT_NWORDS)?;
+        let first = find_first_bit(k, t, iid!(), bitmap, nwords.max(1))?;
         if first == nwords.max(1) * 64 {
             // Filter accepts nothing.
-            return 0;
+            return Ok(0);
         }
     }
     // Figure 1, lines 4-8.
     let pipe = g.wq.pipe;
-    let head = k.read(t, iid!(), pipe + PIPE_HEAD);
-    let tail = k.read(t, iid!(), pipe + PIPE_TAIL);
+    let head = k.read(t, iid!(), pipe + PIPE_HEAD)?;
+    let tail = k.read(t, iid!(), pipe + PIPE_TAIL)?;
     if head.wrapping_sub(tail) >= RING {
-        return EAGAIN; // ring full
+        return Ok(EAGAIN); // ring full
     }
     let buf = pipe + PIPE_BUFS + (head % RING) * BUF_STRIDE;
-    k.write(t, iid!(), buf + BUF_LEN, NOTE_LEN);
-    k.write(t, iid!(), buf + BUF_OPS, g.wq.wq_pipe_ops);
+    k.write(t, iid!(), buf + BUF_LEN, NOTE_LEN)?;
+    k.write(t, iid!(), buf + BUF_OPS, g.wq.wq_pipe_ops)?;
     if !k.bug(BugId::KnownWatchQueuePost) {
         // Figure 1, line 7: complete the entry before `head` moves.
         k.smp_wmb(t, iid!());
     }
-    k.write(t, iid!(), pipe + PIPE_HEAD, head + 1);
-    0
+    k.write(t, iid!(), pipe + PIPE_HEAD, head + 1)?;
+    Ok(0)
 }
 
 /// `pipe_read`: Figure 1's right-hand side.
-pub fn pipe_read(k: &Kctx, t: Tid) -> i64 {
+pub fn pipe_read(k: &Kctx, t: Tid) -> KResult<i64> {
     let _f = k.enter(t, "pipe_read");
     let g = k.globals();
     let pipe = g.wq.pipe;
     // Figure 1, line 14.
-    let head = k.read(t, iid!(), pipe + PIPE_HEAD);
-    let tail = k.read(t, iid!(), pipe + PIPE_TAIL);
+    let head = k.read(t, iid!(), pipe + PIPE_HEAD)?;
+    let tail = k.read(t, iid!(), pipe + PIPE_TAIL)?;
     if head == tail {
-        return EAGAIN; // empty
+        return Ok(EAGAIN); // empty
     }
     if !k.bug(BugId::KnownWatchQueuePost) {
         // Figure 1, line 15: do not speculate entry reads past the
@@ -139,15 +139,15 @@ pub fn pipe_read(k: &Kctx, t: Tid) -> i64 {
     }
     // Figure 1, lines 16-18.
     let buf = pipe + PIPE_BUFS + (tail % RING) * BUF_STRIDE;
-    let len = k.read(t, iid!(), buf + BUF_LEN);
-    let ops = k.read(t, iid!(), buf + BUF_OPS);
-    let confirm = k.read(t, iid!(), ops + OPS_CONFIRM);
-    k.call_fn(t, confirm);
+    let len = k.read(t, iid!(), buf + BUF_LEN)?;
+    let ops = k.read(t, iid!(), buf + BUF_OPS)?;
+    let confirm = k.read(t, iid!(), ops + OPS_CONFIRM)?;
+    k.call_fn(t, confirm)?;
     // A committed `ops` with a still-delayed `len` is equally fatal in the
     // real kernel (a zero-length read of a posted notification).
-    k.bug_on(t, len == 0, "uninitialised pipe_buffer length");
-    k.write(t, iid!(), pipe + PIPE_TAIL, tail + 1);
-    len as i64
+    k.bug_on(t, len == 0, "uninitialised pipe_buffer length")?;
+    k.write(t, iid!(), pipe + PIPE_TAIL, tail + 1)?;
+    Ok(len as i64)
 }
 
 #[cfg(test)]
@@ -162,16 +162,16 @@ mod tests {
     fn in_order_post_then_read_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(post_one_notification(&k, t0), 0);
+        assert_eq!(post_one_notification(&k, t0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(pipe_read(&k, t1), NOTE_LEN as i64);
+        assert_eq!(pipe_read(&k, t1), Ok(NOTE_LEN as i64));
         assert!(k.sink.is_empty());
     }
 
     #[test]
     fn empty_ring_returns_eagain() {
         let k = Kctx::new(BugSwitches::none());
-        assert_eq!(pipe_read(&k, Tid(0)), EAGAIN);
+        assert_eq!(pipe_read(&k, Tid(0)), Ok(EAGAIN));
     }
 
     #[test]
@@ -179,9 +179,9 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
         for _ in 0..RING {
-            assert_eq!(post_one_notification(&k, t), 0);
+            assert_eq!(post_one_notification(&k, t), Ok(0));
         }
-        assert_eq!(post_one_notification(&k, t), EAGAIN);
+        assert_eq!(post_one_notification(&k, t), Ok(EAGAIN));
     }
 
     #[test]
@@ -192,9 +192,9 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
             crate::testutil::delay_all_plain_stores_during(k, t0, |k| {
-                post_one_notification(k, t0);
-            });
-            pipe_read(k, t1);
+                post_one_notification(k, t0)
+            })?;
+            pipe_read(k, t1)
         });
         assert_eq!(
             title,
@@ -210,10 +210,11 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
             crate::testutil::delay_all_plain_stores_during(k, t0, |k| {
-                post_one_notification(k, t0);
-            });
-            let r = pipe_read(k, t1);
+                post_one_notification(k, t0)
+            })?;
+            let r = pipe_read(k, t1)?;
             assert!(r == NOTE_LEN as i64 || r == EAGAIN);
+            Ok(())
         });
     }
 
@@ -225,19 +226,18 @@ mod tests {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            post_one_notification(k, t0);
+            post_one_notification(k, t0)?;
             k.syscall_exit(t0);
             crate::testutil::version_all_plain_loads_with_setup(
                 k,
                 t1,
                 |k| {
-                    post_one_notification(k, t0);
+                    post_one_notification(k, t0)?;
                     k.syscall_exit(t0);
+                    Ok(())
                 },
-                |k| {
-                    pipe_read(k, t1);
-                },
-            );
+                |k| pipe_read(k, t1),
+            )
         });
         assert_eq!(
             title,
@@ -251,9 +251,9 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
             crate::testutil::delay_all_plain_stores_during(k, t0, |k| {
-                watch_queue_set_filter(k, t0, 2);
-            });
-            post_one_notification(k, t1);
+                watch_queue_set_filter(k, t0, 2)
+            })?;
+            post_one_notification(k, t1)
         });
         assert_eq!(
             title,
@@ -267,9 +267,9 @@ mod tests {
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
             crate::testutil::delay_all_plain_stores_during(k, t0, |k| {
-                watch_queue_set_filter(k, t0, 2);
-            });
-            post_one_notification(k, t1);
+                watch_queue_set_filter(k, t0, 2)
+            })?;
+            post_one_notification(k, t1)
         });
     }
 
@@ -277,9 +277,9 @@ mod tests {
     fn filter_accepting_event_still_posts() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        watch_queue_set_filter(&k, t, 1);
+        watch_queue_set_filter(&k, t, 1).unwrap();
         k.syscall_exit(t);
-        assert_eq!(post_one_notification(&k, t), 0);
-        assert_eq!(pipe_read(&k, t), NOTE_LEN as i64);
+        assert_eq!(post_one_notification(&k, t), Ok(0));
+        assert_eq!(pipe_read(&k, t), Ok(NOTE_LEN as i64));
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use oemu::{iid, Tid};
 
 use crate::bugs::BugId;
-use crate::kctx::{Kctx, EAGAIN, EBADF, EBUSY};
+use crate::kctx::{KResult, Kctx, EAGAIN, EBADF, EBUSY};
 
 /// Number of xsk sockets.
 pub const NSOCKS: usize = 2;
@@ -59,103 +59,103 @@ fn sock(k: &Kctx, fd: u64) -> Option<u64> {
 }
 
 /// `xdp_umem_reg`: registers a umem on the socket (Known #3 writer).
-pub fn xsk_reg_umem(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(xs) = sock(k, fd) else { return EBADF };
+pub fn xsk_reg_umem(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(xs) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "xdp_umem_reg");
-    if k.read(t, iid!(), xs + XS_UMEM) != 0 {
-        return EBUSY;
+    if k.read(t, iid!(), xs + XS_UMEM)? != 0 {
+        return Ok(EBUSY);
     }
     let umem = k.kzalloc(16, "xdp_umem");
     let pgs = k.kzalloc(64, "umem_pgs");
-    k.write(t, iid!(), umem + UMEM_PGS, pgs);
-    k.write(t, iid!(), umem + UMEM_NPGS, 8);
+    k.write(t, iid!(), umem + UMEM_PGS, pgs)?;
+    k.write(t, iid!(), umem + UMEM_NPGS, 8)?;
     if !k.bug(BugId::KnownXskUmem) {
         // The [103] fix: publish only after the page array is visible.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), xs + XS_UMEM, umem);
-    0
+    k.write_once(t, iid!(), xs + XS_UMEM, umem)?;
+    Ok(0)
 }
 
 /// RX fast path: walks the umem page array (Known #3 reader).
-pub fn xsk_rx(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(xs) = sock(k, fd) else { return EBADF };
+pub fn xsk_rx(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(xs) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "xsk_rx");
-    let umem = k.read_once(t, iid!(), xs + XS_UMEM);
+    let umem = k.read_once(t, iid!(), xs + XS_UMEM)?;
     if umem == 0 {
-        return EAGAIN;
+        return Ok(EAGAIN);
     }
-    let pgs = k.read(t, iid!(), umem + UMEM_PGS);
-    let npgs = k.read(t, iid!(), umem + UMEM_NPGS);
+    let pgs = k.read(t, iid!(), umem + UMEM_PGS)?;
+    let npgs = k.read(t, iid!(), umem + UMEM_NPGS)?;
     // Touch the first page descriptor; a NULL page array oopses here.
-    let first = k.read(t, iid!(), pgs);
-    k.bug_on(t, npgs == 0, "umem registered with zero pages");
-    first as i64
+    let first = k.read(t, iid!(), pgs)?;
+    k.bug_on(t, npgs == 0, "umem registered with zero pages")?;
+    Ok(first as i64)
 }
 
 /// `xsk_bind`: creates the pool and TX queue and publishes the socket as
 /// bound (writer of Bugs #4 and #7 / Known #4).
-pub fn xsk_bind(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(xs) = sock(k, fd) else { return EBADF };
+pub fn xsk_bind(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(xs) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "xsk_bind");
-    if k.read(t, iid!(), xs + XS_STATE) != 0 {
-        return EBUSY;
+    if k.read(t, iid!(), xs + XS_STATE)? != 0 {
+        return Ok(EBUSY);
     }
     // Pool setup (Bug #4).
     let pool = k.kzalloc(16, "xsk_buff_pool");
     let fq = k.kzalloc(16, "xsk_queue(fill)");
-    k.write(t, iid!(), fq + Q_NENTRIES, 64);
-    k.write(t, iid!(), pool + POOL_FQ, fq);
-    k.write(t, iid!(), pool + POOL_SIZE, 64);
+    k.write(t, iid!(), fq + Q_NENTRIES, 64)?;
+    k.write(t, iid!(), pool + POOL_FQ, fq)?;
+    k.write(t, iid!(), pool + POOL_SIZE, 64)?;
     if !k.bug(BugId::XskPoolPublish) {
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), xs + XS_POOL, pool);
+    k.write_once(t, iid!(), xs + XS_POOL, pool)?;
     // TX queue setup and bind publication (Bug #7 / Known #4).
     let tx = k.kzalloc(16, "xsk_queue(tx)");
-    k.write(t, iid!(), tx + Q_NENTRIES, 16);
-    k.write(t, iid!(), xs + XS_TX, tx);
+    k.write(t, iid!(), tx + Q_NENTRIES, 16)?;
+    k.write(t, iid!(), xs + XS_TX, tx)?;
     if !k.bug(BugId::XskStateBound) && !k.bug(BugId::KnownXskState) {
         // The [101] fix: `smp_wmb` between the queue stores and the state
         // store, paired with the readers' dependent ordering.
         k.smp_wmb(t, iid!());
     }
-    k.write_once(t, iid!(), xs + XS_STATE, XSK_BOUND);
-    0
+    k.write_once(t, iid!(), xs + XS_STATE, XSK_BOUND)?;
+    Ok(0)
 }
 
 /// `xsk_poll`: checks readiness through the buffer pool (Bug #4 reader).
-pub fn xsk_poll(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(xs) = sock(k, fd) else { return EBADF };
+pub fn xsk_poll(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(xs) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "xsk_poll");
-    let pool = k.read_once(t, iid!(), xs + XS_POOL);
+    let pool = k.read_once(t, iid!(), xs + XS_POOL)?;
     if pool == 0 {
-        return 0; // not bound yet: no events
+        return Ok(0); // not bound yet: no events
     }
-    let fq = k.read(t, iid!(), pool + POOL_FQ);
-    let prod = k.read(t, iid!(), fq + Q_PROD);
-    prod as i64
+    let fq = k.read(t, iid!(), pool + POOL_FQ)?;
+    let prod = k.read(t, iid!(), fq + Q_PROD)?;
+    Ok(prod as i64)
 }
 
 /// `sendmsg` on a bound socket → `xsk_generic_xmit` (reader of Bug #7 /
 /// Known #4).
-pub fn xsk_sendmsg(k: &Kctx, t: Tid, fd: u64) -> i64 {
-    let Some(xs) = sock(k, fd) else { return EBADF };
+pub fn xsk_sendmsg(k: &Kctx, t: Tid, fd: u64) -> KResult<i64> {
+    let Some(xs) = sock(k, fd) else { return Ok(EBADF) };
     let _f = k.enter(t, "xsk_sendmsg");
-    let state = k.read_once(t, iid!(), xs + XS_STATE);
+    let state = k.read_once(t, iid!(), xs + XS_STATE)?;
     if state != XSK_BOUND {
-        return EAGAIN;
+        return Ok(EAGAIN);
     }
     xsk_generic_xmit(k, t, xs)
 }
 
-fn xsk_generic_xmit(k: &Kctx, t: Tid, xs: u64) -> i64 {
+fn xsk_generic_xmit(k: &Kctx, t: Tid, xs: u64) -> KResult<i64> {
     let _f = k.enter(t, "xsk_generic_xmit");
-    let tx = k.read(t, iid!(), xs + XS_TX);
-    let nentries = k.read(t, iid!(), tx + Q_NENTRIES);
-    let prod = k.read(t, iid!(), tx + Q_PROD);
-    k.write(t, iid!(), tx + Q_PROD, (prod + 1) % nentries.max(1));
-    0
+    let tx = k.read(t, iid!(), xs + XS_TX)?;
+    let nentries = k.read(t, iid!(), tx + Q_NENTRIES)?;
+    let prod = k.read(t, iid!(), tx + Q_PROD)?;
+    k.write(t, iid!(), tx + Q_PROD, (prod + 1) % nentries.max(1))?;
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -168,12 +168,12 @@ mod tests {
     fn in_order_bind_then_io_works() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(xsk_reg_umem(&k, t0, 0), 0);
-        assert_eq!(xsk_bind(&k, t0, 0), 0);
+        assert_eq!(xsk_reg_umem(&k, t0, 0), Ok(0));
+        assert_eq!(xsk_bind(&k, t0, 0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(xsk_poll(&k, t1, 0), 0);
-        assert_eq!(xsk_sendmsg(&k, t1, 0), 0);
-        assert_eq!(xsk_rx(&k, t1, 0), 0);
+        assert_eq!(xsk_poll(&k, t1, 0), Ok(0));
+        assert_eq!(xsk_sendmsg(&k, t1, 0), Ok(0));
+        assert_eq!(xsk_rx(&k, t1, 0), Ok(0));
         assert!(k.sink.is_empty());
     }
 
@@ -181,21 +181,21 @@ mod tests {
     fn unbound_socket_is_quiet() {
         let k = Kctx::new(BugSwitches::all());
         let t = Tid(0);
-        assert_eq!(xsk_poll(&k, t, 0), 0);
-        assert_eq!(xsk_sendmsg(&k, t, 0), EAGAIN);
-        assert_eq!(xsk_rx(&k, t, 0), EAGAIN);
+        assert_eq!(xsk_poll(&k, t, 0), Ok(0));
+        assert_eq!(xsk_sendmsg(&k, t, 0), Ok(EAGAIN));
+        assert_eq!(xsk_rx(&k, t, 0), Ok(EAGAIN));
     }
 
     #[test]
     fn double_bind_rejected() {
         let k = Kctx::new(BugSwitches::none());
         let t = Tid(0);
-        assert_eq!(xsk_bind(&k, t, 0), 0);
+        assert_eq!(xsk_bind(&k, t, 0), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(xsk_bind(&k, t, 0), EBUSY);
-        assert_eq!(xsk_reg_umem(&k, t, 0), 0);
+        assert_eq!(xsk_bind(&k, t, 0), Ok(EBUSY));
+        assert_eq!(xsk_reg_umem(&k, t, 0), Ok(0));
         k.syscall_exit(t);
-        assert_eq!(xsk_reg_umem(&k, t, 0), EBUSY);
+        assert_eq!(xsk_reg_umem(&k, t, 0), Ok(EBUSY));
     }
 
     #[test]
@@ -211,9 +211,7 @@ mod tests {
 
         let k = Kctx::new(BugSwitches::only([BugId::XskPoolPublish]));
         let t0 = Tid(0);
-        let stores = profile_store_iids(&k, t0, |k| {
-            xsk_bind(k, t0, 0);
-        });
+        let stores = profile_store_iids(&k, t0, |k| xsk_bind(k, t0, 0));
         // Program order: fq nentries, pool fq, pool size, pool publish, ...
         for &iid in &stores[..3] {
             k.engine.delay_store_at(t0, iid);
@@ -243,10 +241,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::only([BugId::XskStateBound]));
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                xsk_bind(k, t0, 0);
-            });
-            xsk_sendmsg(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| xsk_bind(k, t0, 0))?;
+            xsk_sendmsg(k, t1, 0)
         });
         assert_eq!(
             title,
@@ -259,10 +255,8 @@ mod tests {
         let k = Kctx::new(BugSwitches::only([BugId::KnownXskUmem]));
         let (t0, t1) = (Tid(0), Tid(1));
         let title = expect_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                xsk_reg_umem(k, t0, 0);
-            });
-            xsk_rx(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| xsk_reg_umem(k, t0, 0))?;
+            xsk_rx(k, t1, 0)
         });
         assert_eq!(
             title,
@@ -275,18 +269,14 @@ mod tests {
         let k = Kctx::new(BugSwitches::none());
         let (t0, t1) = (Tid(0), Tid(1));
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                xsk_reg_umem(k, t0, 0);
-            });
-            xsk_rx(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| xsk_reg_umem(k, t0, 0))?;
+            xsk_rx(k, t1, 0)
         });
         let k = Kctx::new(BugSwitches::none());
         expect_no_crash(&k, |k| {
-            delay_all_plain_stores_during(k, t0, |k| {
-                xsk_bind(k, t0, 0);
-            });
-            xsk_poll(k, t1, 0);
-            xsk_sendmsg(k, t1, 0);
+            delay_all_plain_stores_during(k, t0, |k| xsk_bind(k, t0, 0))?;
+            xsk_poll(k, t1, 0)?;
+            xsk_sendmsg(k, t1, 0)
         });
     }
 
@@ -294,8 +284,8 @@ mod tests {
     fn separate_sockets_do_not_interfere() {
         let k = Kctx::new(BugSwitches::all());
         let (t0, t1) = (Tid(0), Tid(1));
-        assert_eq!(xsk_bind(&k, t0, 0), 0);
+        assert_eq!(xsk_bind(&k, t0, 0), Ok(0));
         k.syscall_exit(t0);
-        assert_eq!(xsk_sendmsg(&k, t1, 1), EAGAIN, "fd 1 is not bound");
+        assert_eq!(xsk_sendmsg(&k, t1, 1), Ok(EAGAIN), "fd 1 is not bound");
     }
 }

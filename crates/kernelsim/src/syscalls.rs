@@ -7,7 +7,7 @@
 
 use oemu::Tid;
 
-use crate::kctx::Kctx;
+use crate::kctx::{KResult, Kctx};
 use crate::subsys;
 
 /// One system-call invocation with concrete arguments.
@@ -310,7 +310,7 @@ syscall_tokens! {
 }
 
 /// The kernel entry point: dispatches one syscall on simulated CPU `t`.
-pub fn dispatch(k: &Kctx, t: Tid, sc: Syscall) -> i64 {
+pub fn dispatch(k: &Kctx, t: Tid, sc: Syscall) -> KResult<i64> {
     match sc {
         Syscall::WqSetFilter { nwords } => {
             subsys::watch_queue::watch_queue_set_filter(k, t, nwords)

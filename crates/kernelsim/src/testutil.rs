@@ -8,53 +8,49 @@
 //! every store but the last (Figure 5a), or version every load but the
 //! first (Figure 5b) — and run the scenario for real.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use oemu::{AccessKind, Iid, Tid};
 
-use crate::kctx::{CrashSignal, Kctx};
+use crate::kctx::{KResult, Kctx, Oops};
 
 /// Profiles `f` on a scratch machine and returns the iids of the store
 /// accesses `t` executed, in program order (duplicates removed).
-pub fn profile_store_iids(k: &Kctx, t: Tid, f: impl Fn(&Kctx)) -> Vec<Iid> {
-    profile_iids(k, t, AccessKind::Store, |_| {}, f)
+pub fn profile_store_iids<R>(k: &Kctx, t: Tid, f: impl Fn(&Kctx) -> KResult<R>) -> Vec<Iid> {
+    profile_iids(k, t, AccessKind::Store, |_| Ok(()), f)
 }
 
 /// Profiles `f` on a scratch machine and returns the iids of the load
 /// accesses `t` executed, in program order (duplicates removed).
-pub fn profile_load_iids(k: &Kctx, t: Tid, f: impl Fn(&Kctx)) -> Vec<Iid> {
-    profile_iids(k, t, AccessKind::Load, |_| {}, f)
+pub fn profile_load_iids<R>(k: &Kctx, t: Tid, f: impl Fn(&Kctx) -> KResult<R>) -> Vec<Iid> {
+    profile_iids(k, t, AccessKind::Load, |_| Ok(()), f)
 }
 
 /// [`profile_load_iids`] with a setup phase replayed on the scratch machine
 /// first, so the profiled reader takes the path it will take for real.
-pub fn profile_load_iids_with_setup(
+pub fn profile_load_iids_with_setup<S, R>(
     k: &Kctx,
     t: Tid,
-    setup: impl Fn(&Kctx),
-    f: impl Fn(&Kctx),
+    setup: impl Fn(&Kctx) -> KResult<S>,
+    f: impl Fn(&Kctx) -> KResult<R>,
 ) -> Vec<Iid> {
     profile_iids(k, t, AccessKind::Load, setup, f)
 }
 
-fn profile_iids(
+fn profile_iids<S, R>(
     k: &Kctx,
     t: Tid,
     kind: AccessKind,
-    setup: impl Fn(&Kctx),
-    f: impl Fn(&Kctx),
+    setup: impl Fn(&Kctx) -> KResult<S>,
+    f: impl Fn(&Kctx) -> KResult<R>,
 ) -> Vec<Iid> {
     // The scratch machine must reach the same kernel state the real run
     // will profile in, so the setup syscalls run first (unprofiled) — the
     // analog of the STI prefix before the targeted pair.
     let scratch = Kctx::new(k.switches().clone());
-    let result = catch_unwind(AssertUnwindSafe(|| setup(&scratch)));
-    assert!(result.is_ok(), "setup crashed during profiling");
+    assert!(setup(&scratch).is_ok(), "setup crashed during profiling");
     scratch.engine.set_profiling(true);
     // The scenario must be benign in order; a scratch crash means the test
     // scenario itself is wrong.
-    let result = catch_unwind(AssertUnwindSafe(|| f(&scratch)));
-    assert!(result.is_ok(), "scenario crashed during profiling");
+    assert!(f(&scratch).is_ok(), "scenario crashed during profiling");
     let profile = scratch.engine.take_profile(t);
     let mut seen = std::collections::HashSet::new();
     profile
@@ -68,15 +64,20 @@ fn profile_iids(
 /// The maximal hypothetical **store** barrier forcing: delays every store
 /// `t` performs in `f` except the last (which, like `W(d)` in Figure 5a,
 /// overtakes them), then runs `f` on the real machine.
-pub fn delay_all_plain_stores_during(k: &Kctx, t: Tid, f: impl Fn(&Kctx)) {
-    let iids = profile_iids(k, t, AccessKind::Store, |_| {}, &f);
+pub fn delay_all_plain_stores_during<R>(
+    k: &Kctx,
+    t: Tid,
+    f: impl Fn(&Kctx) -> KResult<R>,
+) -> KResult<R> {
+    let iids = profile_iids(k, t, AccessKind::Store, |_| Ok(()), &f);
     if let Some((_last, rest)) = iids.split_last() {
         for &iid in rest {
             k.engine.delay_store_at(t, iid);
         }
     }
-    f(k);
+    let r = f(k)?;
     k.engine.clear_controls(t);
+    Ok(r)
 }
 
 /// The maximal hypothetical **load** barrier forcing: versions every load
@@ -84,39 +85,32 @@ pub fn delay_all_plain_stores_during(k: &Kctx, t: Tid, f: impl Fn(&Kctx)) {
 /// reads the updated value), then runs `f` on the real machine. `setup`
 /// replays the scenario's preceding state changes on the scratch machine so
 /// the profiled reader takes the same path it will take for real.
-pub fn version_all_plain_loads_with_setup(
+pub fn version_all_plain_loads_with_setup<S, R>(
     k: &Kctx,
     t: Tid,
-    setup: impl Fn(&Kctx),
-    f: impl Fn(&Kctx),
-) {
+    setup: impl Fn(&Kctx) -> KResult<S>,
+    f: impl Fn(&Kctx) -> KResult<R>,
+) -> KResult<R> {
     let iids = profile_iids(k, t, AccessKind::Load, setup, &f);
     if let Some((_first, rest)) = iids.split_first() {
         for &iid in rest {
             k.engine.read_old_value_at(t, iid);
         }
     }
-    f(k);
+    let r = f(k)?;
     k.engine.clear_controls(t);
+    Ok(r)
 }
 
 /// Runs `f`, expecting a simulated kernel oops; returns the crash title.
 ///
 /// # Panics
 ///
-/// Panics if `f` completes without crashing, or panics with something other
-/// than a [`CrashSignal`].
-pub fn expect_crash(k: &Kctx, f: impl FnOnce(&Kctx)) -> String {
-    let result = catch_unwind(AssertUnwindSafe(|| f(k)));
-    match result {
-        Ok(()) => panic!("expected a kernel oops, but the scenario survived"),
-        Err(payload) => match payload.downcast_ref::<CrashSignal>() {
-            Some(sig) => {
-                assert!(k.sink.has_reports(), "oops must leave a report");
-                sig.title.clone()
-            }
-            None => std::panic::resume_unwind(payload),
-        },
+/// Panics if `f` completes without crashing.
+pub fn expect_crash<R>(k: &Kctx, f: impl FnOnce(&Kctx) -> KResult<R>) -> String {
+    match f(k) {
+        Ok(_) => panic!("expected a kernel oops, but the scenario survived"),
+        Err(Oops) => last_title(k).expect("oops must leave a report"),
     }
 }
 
@@ -125,16 +119,20 @@ pub fn expect_crash(k: &Kctx, f: impl FnOnce(&Kctx)) -> String {
 /// # Panics
 ///
 /// Panics if `f` crashes or any oracle recorded a report.
-pub fn expect_no_crash(k: &Kctx, f: impl FnOnce(&Kctx)) {
-    let result = catch_unwind(AssertUnwindSafe(|| f(k)));
-    match result {
-        Ok(()) => assert!(
-            k.sink.is_empty(),
-            "oracles recorded a report in a scenario expected to be benign"
-        ),
-        Err(payload) => match payload.downcast_ref::<CrashSignal>() {
-            Some(sig) => panic!("unexpected kernel oops: {}", sig.title),
-            None => std::panic::resume_unwind(payload),
-        },
+pub fn expect_no_crash<R>(k: &Kctx, f: impl FnOnce(&Kctx) -> KResult<R>) {
+    if f(k).is_err() {
+        panic!(
+            "unexpected kernel oops: {}",
+            last_title(k).unwrap_or_default()
+        );
     }
+    assert!(
+        k.sink.is_empty(),
+        "oracles recorded a report in a scenario expected to be benign"
+    );
+}
+
+/// The title of the report the latest oops recorded.
+fn last_title(k: &Kctx) -> Option<String> {
+    k.sink.snapshot().pop().map(|r| r.title)
 }

@@ -191,14 +191,6 @@ struct Inner {
     /// [`EngineSnapshot`] and its digest (machines of different models are
     /// never digest-compared; the pool keys shelves on the model instead).
     model: MemoryModel,
-    /// `[base, end)` of the boot-time resident image installed by
-    /// [`Engine::install_resident_image`], if any. The image is constant
-    /// ballast (the analog of a kernel's static image and slab pools): it
-    /// rides through snapshot/restore like any other memory — full
-    /// restores pay to copy it, which is exactly the machine-size cost the
-    /// undo journal avoids — but its words are excluded from digests,
-    /// since identical-by-construction state carries no information.
-    resident: Option<(u64, u64)>,
 }
 
 /// A full copy of one engine's semantic state — memory words, store
@@ -222,10 +214,6 @@ pub struct EngineSnapshot {
     /// incrementally; any other falls back to the full `clone_from`.
     /// Not part of the digest — it names the snapshot, it is not state.
     generation: u64,
-    /// The resident-image range captured with the state (see
-    /// [`Engine::install_resident_image`]); carried so the snapshot's
-    /// digest excludes the same words the live digest does.
-    resident: Option<(u64, u64)>,
 }
 
 impl EngineSnapshot {
@@ -245,7 +233,6 @@ impl EngineSnapshot {
             &self.mem,
             &self.history,
             &self.threads,
-            self.resident,
         );
     }
 
@@ -266,16 +253,10 @@ fn digest_state(
     mem: &Memory,
     history: &StoreHistory,
     threads: &[ThreadState],
-    resident: Option<(u64, u64)>,
 ) {
     use std::fmt::Write;
     writeln!(out, "engine clock={clock} seq={seq} profiling={profiling}").unwrap();
     for (addr, value) in mem.sorted_words() {
-        if let Some((base, end)) = resident {
-            if addr >= base && addr < end {
-                continue;
-            }
-        }
         writeln!(out, "mem {addr:#x}={value:#x}").unwrap();
     }
     for r in history.records() {
@@ -342,7 +323,6 @@ impl Engine {
                 frames: Vec::new(),
                 force_full_restore: false,
                 model,
-                resident: None,
             }),
         }
     }
@@ -376,7 +356,6 @@ impl Engine {
             threads: inner.threads.clone(),
             stats: inner.stats,
             generation,
-            resident: inner.resident,
         }
     }
 
@@ -445,7 +424,6 @@ impl Engine {
             &inner.mem,
             &inner.history,
             &inner.threads,
-            inner.resident,
         );
     }
 
@@ -900,38 +878,6 @@ impl Engine {
         self.inner.lock().mem.zero_range(addr, words);
     }
 
-    /// Installs the machine's boot-time resident image: `words` committed
-    /// directly at `base..base + 8*words.len()` under one lock, bypassing
-    /// buffers, history, and profiling, exactly like [`raw_store`]
-    /// (boot-time initialisation, not emulated execution).
-    ///
-    /// The image models the state a real kernel carries that tests never
-    /// touch — static data, slab pools, page metadata — so full-restore
-    /// cost is honestly proportional to machine size, the way reverting a
-    /// VM snapshot is. Its words ride through snapshot/restore like all
-    /// memory, but are excluded from [`EngineSnapshot::digest`] and
-    /// [`digest_live`](Engine::digest_live): the content is fixed at boot
-    /// and identical on every machine by construction, so it carries no
-    /// semantic information. The range is reserved — emulated code must
-    /// not address into it (nothing enforces this; callers pick a range no
-    /// subsystem uses).
-    ///
-    /// Call once, before the first snapshot.
-    ///
-    /// [`raw_store`]: Engine::raw_store
-    pub fn install_resident_image(&self, base: u64, words: &[u64]) {
-        let mut inner = self.inner.lock();
-        for (i, w) in words.iter().enumerate() {
-            inner.mem.write(base + 8 * i as u64, *w);
-        }
-        inner.resident = Some((base, base + 8 * words.len() as u64));
-    }
-
-    /// The `[base, end)` resident-image range, if one is installed.
-    pub fn resident_image(&self) -> Option<(u64, u64)> {
-        self.inner.lock().resident
-    }
-
     // ------------------------------------------------------------------
     // Introspection.
     // ------------------------------------------------------------------
@@ -1095,7 +1041,6 @@ impl Inner {
             t.profile.tid = s.profile.tid;
             t.profile.events.clone_from(&s.profile.events);
         }
-        self.resident = snap.resident;
         self.frames.clear();
         if !self.force_full_restore {
             // The machine now *is* the snapshot: re-arm the journal at its

@@ -13,6 +13,7 @@
 //! `OZZ_RESUME_OUT` (it passes trivially when the variables are unset).
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use kernelsim::BugSwitches;
 use ozz::campaign::{CampaignBuilder, CampaignReport};
@@ -181,27 +182,68 @@ fn checkpoint_with_a_corrupt_trace_fails_to_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The lines of a 2-shard campaign halted after 3 rounds, with every bug
+/// compiled in and a target it never finds, so a resume would run on; the
+/// campaign runs once per test binary.
+fn halted_two_shard_lines() -> Vec<String> {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    let text = TEXT.get_or_init(|| {
+        let dir = scratch_dir("two-shard");
+        let ckpt = dir.join("campaign.ckpt");
+        let halted = CampaignBuilder::new(2024)
+            .budget(400_000)
+            .shards(2)
+            .epoch_mtis(500)
+            .target(BugSwitches::all(), vec!["never".into()])
+            .checkpoint_to(&ckpt)
+            .halt_after_epochs(3)
+            .run();
+        assert!(halted.halted);
+        let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+        let _ = std::fs::remove_dir_all(&dir);
+        text
+    });
+    text.lines().map(str::to_string).collect()
+}
+
+/// Resumes the edited checkpoint `lines` and returns the `InvalidData`
+/// error that loading it must give. Without a parse-time check the edit
+/// loads, and the resumed campaign panics in the engine instead.
+fn resume_error(tag: &str, lines: &[String]) -> String {
+    let dir = scratch_dir(tag);
+    let path = dir.join("edited.ckpt");
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write edited checkpoint");
+    let loaded = CampaignBuilder::resume_from(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    match loaded {
+        Ok(resumed) => {
+            let report = resumed.run();
+            panic!("the {tag} edit resumed and ran {} rounds", report.rounds);
+        }
+        Err(err) => {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            err.to_string()
+        }
+    }
+}
+
+/// Replaces the first line equal to `from` with `to`.
+fn replace_line(lines: &mut [String], from: &str, to: &str) {
+    let at = lines
+        .iter()
+        .position(|l| l == from)
+        .unwrap_or_else(|| panic!("the checkpoint has a {from:?} line"));
+    lines[at] = to.to_string();
+}
+
 /// A fuzzer records a diagnosis the first time it sights a title, so every
 /// title a stream's fuzzer tallies has one. A checkpoint whose tally names
 /// an undiagnosed title must fail to resume with `InvalidData` naming the
 /// title, instead of panicking at the first merge that reports it.
 #[test]
 fn checkpoint_with_an_undiagnosed_tally_fails_to_resume() {
-    let dir = scratch_dir("tally");
-    let ckpt = dir.join("campaign.ckpt");
-    let halted = CampaignBuilder::new(2024)
-        .budget(400_000)
-        .shards(2)
-        .epoch_mtis(500)
-        .target(BugSwitches::all(), vec!["never".into()])
-        .checkpoint_to(&ckpt)
-        .halt_after_epochs(3)
-        .run();
-    assert!(halted.halted);
-    let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
-
     // The fuzzer's tally map follows its `crashes N` line.
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut lines = halted_two_shard_lines();
     let at = lines
         .windows(2)
         .position(|w| w[0].starts_with("crashes ") && w[1].starts_with("tally "))
@@ -210,28 +252,102 @@ fn checkpoint_with_an_undiagnosed_tally_fails_to_resume() {
     let (name, _) = lines[at].rsplit_once(' ').expect("tally line");
     let title = kutil::codec::unescape(name.strip_prefix("tally ").unwrap()).unwrap();
     lines[at] = lines[at].replacen("tally ", "tally x", 1);
-    let path = dir.join("undiagnosed.ckpt");
-    std::fs::write(&path, lines.join("\n") + "\n").expect("write edited checkpoint");
-
-    let err = match CampaignBuilder::resume_from(&path) {
-        // Without the parse-time check the campaign runs into the title at
-        // its first merge.
-        Ok(resumed) => {
-            let report = resumed.run();
-            panic!(
-                "the undiagnosed tally x{title:?} resumed and ran {} rounds",
-                report.rounds
-            );
-        }
-        Err(err) => err,
-    };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let msg = err.to_string();
+    let msg = resume_error("tally", &lines);
     assert!(
         msg.contains(&format!("x{title}")),
         "the error names the title: {msg}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A count is read before the entries it counts, so a hostile count must
+/// not size an allocation: this one would ask for terabytes.
+#[test]
+fn checkpoint_with_a_huge_count_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("corpus "))
+        .expect("a fuzzer records its corpus");
+    lines[at] = "corpus 99999999999999".to_string();
+    let msg = resume_error("huge-count", &lines);
+    assert!(
+        msg.contains("sti"),
+        "the error names the missing entry: {msg}"
+    );
+}
+
+/// A campaign of zero shards would assert in the engine.
+#[test]
+fn checkpoint_with_zero_shards_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    replace_line(&mut lines, "shards 2", "shards 0");
+    let msg = resume_error("zero-shards", &lines);
+    assert!(msg.contains("shards 0"), "the error names the field: {msg}");
+}
+
+/// An epoch of zero MTIs would never make progress.
+#[test]
+fn checkpoint_with_zero_epoch_mtis_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    replace_line(&mut lines, "epoch_mtis 500", "epoch_mtis 0");
+    let msg = resume_error("zero-epoch", &lines);
+    assert!(
+        msg.contains("epoch_mtis 0"),
+        "the error names the field: {msg}"
+    );
+}
+
+/// The engine runs one stream per shard, so the counts must agree.
+#[test]
+fn checkpoint_whose_streams_miss_a_shard_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    replace_line(&mut lines, "shards 2", "shards 3");
+    let msg = resume_error("stream-count", &lines);
+    assert!(
+        msg.contains("streams 2") && msg.contains("shards 3"),
+        "the error names both counts: {msg}"
+    );
+}
+
+/// A stream broadcasts the corpus entries past its mark, so the mark must
+/// lie inside its corpus.
+#[test]
+fn checkpoint_with_a_corpus_mark_past_the_corpus_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("corpus_mark "))
+        .expect("a stream records its corpus mark");
+    lines[at] = "corpus_mark 1000000".to_string();
+    let msg = resume_error("corpus-mark", &lines);
+    assert!(
+        msg.contains("corpus_mark 1000000"),
+        "the error names the field: {msg}"
+    );
+}
+
+/// The engine merges a stream's sightings under titles the stream already
+/// sent, so every sent title must be in the campaign's found set. Renaming
+/// a found bug leaves its stream's sent title dangling.
+#[test]
+fn checkpoint_whose_sent_title_is_not_found_fails_to_resume() {
+    let mut lines = halted_two_shard_lines();
+    let found = lines
+        .iter()
+        .position(|l| l.starts_with("found "))
+        .expect("the campaign's found set");
+    let at = found
+        + lines[found..]
+            .iter()
+            .position(|l| l.starts_with("title "))
+            .expect("a found bug");
+    let title = lines[at].clone();
+    lines[at] = lines[at].replacen("title ", "title x", 1);
+    let msg = resume_error("sent-title", &lines);
+    assert!(
+        msg.contains("bugs_sent") && msg.contains(&title["title ".len()..]),
+        "the error names the field and the title: {msg}"
+    );
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn kasan_uaf_requires_runtime_context() {
     let t0 = Tid(0);
     let holder = k.kzalloc(16, "holder");
     let obj_old = k.kzalloc(16, "victim");
-    k.write(t0, iid!(), holder, obj_old);
+    k.write(t0, iid!(), holder, obj_old).unwrap();
     k.syscall_exit(t0);
 
     // Writer: free the old object, install a new one — with the install
@@ -42,18 +42,18 @@ fn kasan_uaf_requires_runtime_context() {
         break_after(install),
         move |k| {
             let _f = k.enter(Tid(0), "writer");
-            k.kfree(Tid(0), obj_old);
+            k.kfree(Tid(0), obj_old)?;
             let obj_new = k.kzalloc(16, "replacement");
-            k.write(Tid(0), install, holder, obj_new);
+            k.write(Tid(0), install, holder, obj_new)?;
             // No barrier: the reader on the other CPU sees the stale
             // pointer while the object is already quarantined.
-            0
+            Ok(0)
         },
         move |k| {
             let _f = k.enter(Tid(1), "reader");
-            let p = k.read(Tid(1), iid!(), holder);
-            k.read(Tid(1), iid!(), p); // UAF: p is the freed object
-            0
+            let p = k.read(Tid(1), iid!(), holder)?;
+            k.read(Tid(1), iid!(), p)?; // UAF: p is the freed object
+            Ok(0)
         },
     );
     assert!(out.crashed());
@@ -70,17 +70,17 @@ fn lockdep_reports_inversion_across_cpus() {
         SchedulePlan::sequential(Tid(0)),
         move |k| {
             let _f = k.enter(Tid(0), "path_ab");
-            k.lock(Tid(0), a);
-            k.lock(Tid(0), b);
+            k.lock(Tid(0), a)?;
+            k.lock(Tid(0), b)?;
             k.unlock(Tid(0), b);
             k.unlock(Tid(0), a);
-            0
+            Ok(0)
         },
         move |k| {
             let _f = k.enter(Tid(1), "path_ba");
-            k.lock(Tid(1), b);
-            k.lock(Tid(1), a); // closes the cycle
-            0
+            k.lock(Tid(1), b)?;
+            k.lock(Tid(1), a)?; // closes the cycle
+            Ok(0)
         },
     );
     assert!(out.crashed());
@@ -104,14 +104,14 @@ fn oracles_see_reordered_values_not_program_order() {
         break_after(delayed),
         move |k| {
             let _f = k.enter(Tid(0), "publisher");
-            k.write(Tid(0), delayed, cell, valid);
-            0
+            k.write(Tid(0), delayed, cell, valid)?;
+            Ok(0)
         },
         move |k| {
             let _f = k.enter(Tid(1), "consumer");
-            let p = k.read(Tid(1), iid!(), cell);
-            k.read(Tid(1), iid!(), p); // p == 0: the delayed store is invisible
-            0
+            let p = k.read(Tid(1), iid!(), cell)?;
+            k.read(Tid(1), iid!(), p)?; // p == 0: the delayed store is invisible
+            Ok(0)
         },
     );
     assert_eq!(
@@ -131,10 +131,10 @@ fn crash_titles_stable_for_dedup() {
             SchedulePlan::sequential(Tid(0)),
             |k| {
                 let _f = k.enter(Tid(0), "some_path");
-                k.read(Tid(0), iid!(), 0x20);
-                0
+                k.read(Tid(0), iid!(), 0x20)?;
+                Ok(0)
             },
-            |_k| 0,
+            |_k| Ok(0),
         );
         out.title().unwrap().to_string()
     };

@@ -14,61 +14,7 @@ use ozz::fuzzer::{FuzzConfig, Fuzzer};
 use ozz::hints::calc_hints;
 use ozz::mti::build_mtis;
 use ozz::profile_sti_on;
-use ozz::sti::{ext_bug_sti, known_bug_sti, Sti};
-
-/// The directed STI that reaches `bug`'s code: the Table 4 / extended
-/// corpus inputs where they exist, hand-directed sequences for the Table 3
-/// (new) bugs.
-fn directed_sti(bug: BugId) -> Sti {
-    if let Some(s) = known_bug_sti(bug) {
-        return s;
-    }
-    if let Some(s) = ext_bug_sti(bug) {
-        return s;
-    }
-    use Syscall::*;
-    let calls = match bug {
-        BugId::RdsClearBit => vec![RdsLoopXmit, RdsSendXmit, RdsLoopXmit],
-        BugId::WatchQueueFilter => vec![
-            WqSetFilter { nwords: 2 },
-            WqPost,
-            PipeRead,
-            WqSetFilter { nwords: 1 },
-        ],
-        BugId::VmciQueuePair => vec![VmciQpCreate, VmciQpAttach],
-        BugId::XskPoolPublish => vec![
-            XskRegUmem { fd: 0 },
-            XskBind { fd: 0 },
-            XskPoll { fd: 0 },
-            XskSendmsg { fd: 0 },
-            XskRx { fd: 0 },
-        ],
-        BugId::TlsGetsockopt | BugId::TlsSkProt => vec![
-            TlsInit { fd: 0 },
-            SetSockOpt { fd: 0 },
-            GetSockOpt { fd: 0 },
-        ],
-        BugId::PsockSavedReady => vec![
-            PsockInit { fd: 0 },
-            PsockInit { fd: 0 },
-            SockRecvmsg { fd: 0 },
-        ],
-        BugId::XskStateBound => vec![
-            XskRegUmem { fd: 0 },
-            XskBind { fd: 0 },
-            XskSendmsg { fd: 0 },
-        ],
-        BugId::SmcClcsock => vec![SmcConnect { fd: 0 }, SmcConnect { fd: 0 }],
-        BugId::SmcFput => vec![
-            SmcConnect { fd: 0 },
-            SmcAccept { fd: 0 },
-            SmcFputWorker { fd: 0 },
-        ],
-        BugId::GsmDlci => vec![GsmDlciAlloc { idx: 0 }, GsmDlciConfig { idx: 0 }],
-        other => unreachable!("{other}: known/extended bugs are handled above"),
-    };
-    Sti { calls }
-}
+use ozz::sti::directed_bug_sti;
 
 /// Whether `bug`'s symptom — its crash title, or the wrong-value condition
 /// for the two silent bugs — appears on a run outcome.
@@ -87,7 +33,7 @@ fn symptom_in(bug: BugId, mti: &ozz::mti::Mti, out: &kernelsim::RunOutcome) -> b
 /// on a `switches` kernel, with the §6.2 migration override where the
 /// paper needed it. Returns whether the symptom appeared.
 fn directed_sweep(bug: BugId, switches: &BugSwitches) -> bool {
-    let sti = directed_sti(bug);
+    let sti = directed_bug_sti(bug);
     let migration = bug == BugId::KnownSbitmap;
     let configure = |k: &Kctx| {
         if migration {

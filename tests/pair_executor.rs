@@ -9,7 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use kernelsim::{run_concurrent_closures, BugSwitches, Kctx, ECRASH};
+use kernelsim::{run_concurrent_closures, BugSwitches, KResult, Kctx, ECRASH};
 use kmem::LockId;
 use ksched::{BreakWhen, Breakpoint, SchedulePlan};
 use oemu::{iid, Iid, Tid};
@@ -35,14 +35,14 @@ fn each_plan_places_the_peer_where_it_says() {
             plan,
             move |k| {
                 let _f = k.enter(Tid(0), "cpu0");
-                k.write(Tid(0), store_x, x, 1);
-                k.read(Tid(0), iid!(), y) as i64
+                k.write(Tid(0), store_x, x, 1)?;
+                Ok(k.read(Tid(0), iid!(), y)? as i64)
             },
             move |k| {
                 let _f = k.enter(Tid(1), "cpu1");
-                let seen = k.read(Tid(1), iid!(), x);
-                k.write(Tid(1), iid!(), y, 2);
-                seen as i64
+                let seen = k.read(Tid(1), iid!(), x)?;
+                k.write(Tid(1), iid!(), y, 2)?;
+                Ok(seen as i64)
             },
         );
         assert!(!out.crashed());
@@ -75,14 +75,14 @@ fn oops_on_the_nested_cpu_lets_the_suspended_one_finish() {
         break_at(mark, BreakWhen::After),
         move |k| {
             let _f = k.enter(Tid(0), "survivor");
-            k.write(Tid(0), mark, flag, 1);
-            k.read(Tid(0), iid!(), flag) as i64
+            k.write(Tid(0), mark, flag, 1)?;
+            Ok(k.read(Tid(0), iid!(), flag)? as i64)
         },
         move |k| {
             let _f = k.enter(Tid(1), "victim");
-            k.write(Tid(1), iid!(), flag, 2);
-            k.read(Tid(1), iid!(), 0x20); // NULL dereference
-            0
+            k.write(Tid(1), iid!(), flag, 2)?;
+            k.read(Tid(1), iid!(), 0x20)?; // NULL dereference
+            Ok(0)
         },
     );
     assert_eq!(out.ret_b, ECRASH);
@@ -105,7 +105,7 @@ fn oops_in_a_nested_helper_leaves_the_lock_held_and_the_store_buffered() {
     let lock = LockId(0x51);
     let delayed = iid!();
     k.engine.delay_store_at(Tid(0), delayed);
-    fn nested_helper(k: &Kctx) -> u64 {
+    fn nested_helper(k: &Kctx) -> KResult<u64> {
         let _f = k.enter(Tid(0), "nested_helper");
         k.read(Tid(0), iid!(), 0x18) // NULL dereference
     }
@@ -114,13 +114,13 @@ fn oops_in_a_nested_helper_leaves_the_lock_held_and_the_store_buffered() {
         SchedulePlan::sequential(Tid(0)),
         move |k| {
             let _f = k.enter(Tid(0), "outer");
-            k.lock(Tid(0), lock);
-            k.write(Tid(0), delayed, obj, 1);
-            nested_helper(k);
+            k.lock(Tid(0), lock)?;
+            k.write(Tid(0), delayed, obj, 1)?;
+            nested_helper(k)?;
             k.unlock(Tid(0), lock);
-            0
+            Ok(0)
         },
-        |_k| 7,
+        |_k| Ok(7),
     );
     assert_eq!((out.ret_a, out.ret_b), (ECRASH, 7));
     assert_eq!(out.crashes.len(), 1, "one report");
@@ -158,15 +158,15 @@ fn non_oops_panic_reaches_the_caller_after_both_cpus_ran() {
             SchedulePlan::sequential(Tid(0)),
             |_k| panic!("not an oops"),
             move |k| {
-                k.write(Tid(1), iid!(), cell, 9);
-                0
+                k.write(Tid(1), iid!(), cell, 9)?;
+                Ok(0)
             },
         )
     }));
     let payload = caught.expect_err("the panic reaches the caller");
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"not an oops"));
-    assert_eq!(k.read(Tid(0), iid!(), cell), 9, "CPU 1 still ran");
-    let out = run_concurrent_closures(&k, SchedulePlan::sequential(Tid(0)), |_k| 1, |_k| 2);
+    assert_eq!(k.read(Tid(0), iid!(), cell), Ok(9), "CPU 1 still ran");
+    let out = run_concurrent_closures(&k, SchedulePlan::sequential(Tid(0)), |_k| Ok(1), |_k| Ok(2));
     assert_eq!(
         (out.ret_a, out.ret_b),
         (1, 2),

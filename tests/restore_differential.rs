@@ -181,13 +181,13 @@ fn zero_range_over_never_written_words_restores_exactly() {
             // without having ever been written.
             let a = k.kzalloc(64, "restore_differential");
             if i % 2 == 0 {
-                k.write(Tid(0), Iid(900 + i), a + 8, 0xbeef ^ i);
+                k.write(Tid(0), Iid(900 + i), a + 8, 0xbeef ^ i).unwrap();
             }
             addrs.push(a);
         }
         for (i, a) in addrs.iter().enumerate() {
             if i % 3 == 0 {
-                k.kfree(Tid(0), *a);
+                k.kfree(Tid(0), *a).unwrap();
             }
         }
     }
