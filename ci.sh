@@ -78,18 +78,14 @@ cargo build --release --offline -p bench --bin trace_replay
 ./target/release/trace_replay 30000 3
 cat BENCH_trace_replay.json
 
-echo "== ozzbench tests (unit, mirror equality, per-workload smoke) =="
-# The benchmark is a package of its own; building it here means an API
-# change that breaks it fails this gate instead of the benchmark run.
-cargo test --release --offline --manifest-path ozzbench/Cargo.toml
-
 echo "== formatting =="
 cargo fmt --check
 
 echo "== deprecation gate (workspace builds clean with -D deprecated) =="
-# Last build step on purpose: changing RUSTFLAGS re-keys every compilation
-# unit, so running this mid-script would force a second full rebuild of
-# everything after it.
+# Last workspace build step on purpose: changing RUSTFLAGS re-keys every
+# compilation unit, so running this mid-script would force a second full
+# rebuild of everything after it (ozzbench, below, builds in a target
+# directory of its own).
 RUSTFLAGS="-D deprecated" cargo build --workspace --all-targets --offline
 
 echo "== hermeticity: no crates-io dependencies declared =="
@@ -98,5 +94,14 @@ if grep -rn 'rand = \|parking_lot\|crossbeam\|proptest\|criterion =' \
     echo "error: external dependency declared in a manifest" >&2
     exit 1
 fi
+
+echo "== ozzbench tests (unit, mirror equality, per-workload smoke) =="
+# The benchmark is a package of its own; building it here means an API
+# change that breaks it fails this gate instead of the benchmark run. It
+# runs last so that a failure here never hides the gates above; its
+# `every_workload_passes_its_checks_at_smoke_size` fails since the replay
+# workload got faster than its smoke-size assertions allow, until the
+# benchmark change on the ROADMAP relaxes them.
+cargo test --release --offline --manifest-path ozzbench/Cargo.toml
 
 echo "ci.sh: all gates passed"

@@ -5,28 +5,30 @@
 //! barrier test: a scheduling point at which to interleave, and the memory
 //! accesses to reorder. The pipeline is:
 //!
-//! 1. **`filter_out`** (Algorithm 2): drop accesses that cannot touch
-//!    memory shared between the two calls — an OOO bug is a concurrency
-//!    bug, so private accesses are irrelevant.
+//! 1. **Filtering** (Algorithm 2, [`filter_out`]): drop accesses that
+//!    cannot touch memory shared between the two calls — an OOO bug is a
+//!    concurrency bug, so private accesses are irrelevant. The shared word
+//!    slots are computed once per pair, as a sorted `Vec`.
 //! 2. **Grouping** (Algorithm 1, step 2): split each call's accesses into
 //!    groups bounded by barriers of the tested type (store-ordering
 //!    barriers for the hypothetical *store* barrier test, load-ordering
 //!    barriers for the *load* barrier test) — reordering across a real
-//!    barrier is impossible, so hints never span one.
+//!    barrier is impossible, so hints never span one. One reused buffer
+//!    holds the current group, and accesses are filtered as it fills.
 //! 3. **Hint construction** (Algorithm 1, step 3): within each group, slide
 //!    the hypothetical barrier one access at a time. For a store test the
 //!    scheduling point is the group's last access and the reorder set is
 //!    everything before it (Figure 5a); for a load test the scheduling
 //!    point is the group's first access and the reorder set is everything
-//!    after it (Figure 5b).
+//!    after it (Figure 5b). Only stores can be delayed and only loads
+//!    versioned, so the distinct sets the slide yields are every prefix of
+//!    the group's stores, or every suffix of its loads, largest first.
 //! 4. **Sorting**: hints are ordered by decreasing reorder-set size — the
 //!    paper's greedy search heuristic (§4.3): the further execution
 //!    deviates from sequential order, the likelier developers overlooked
 //!    the barrier.
 
-use std::collections::HashSet;
-
-use oemu::{AccessKind, AccessRecord, BarrierKind, MemoryModel, TraceEvent};
+use oemu::{AccessKind, AccessRecord, MemoryModel, TraceEvent};
 
 /// Which of the two paired system calls performs the reordering.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -88,20 +90,12 @@ impl SchedHint {
 /// (with at least one side writing). Barrier events always survive: they
 /// define the group boundaries.
 pub fn filter_out(si: &[TraceEvent], sj: &[TraceEvent]) -> (Vec<TraceEvent>, Vec<TraceEvent>) {
-    let mut shared: HashSet<u64> = HashSet::new();
-    for ai in si.iter().filter_map(TraceEvent::as_access) {
-        for aj in sj.iter().filter_map(TraceEvent::as_access) {
-            if !(ai.kind.writes() || aj.kind.writes()) {
-                continue;
-            }
-            shared.extend(overlap_words(ai, aj));
-        }
-    }
+    let shared = shared_words(si, sj);
     let keep = |events: &[TraceEvent]| {
         events
             .iter()
             .filter(|e| match e {
-                TraceEvent::Access(a) => words_of(a).any(|w| shared.contains(&w)),
+                TraceEvent::Access(a) => touches(&shared, a),
                 TraceEvent::Barrier(_) => true,
             })
             .cloned()
@@ -110,12 +104,33 @@ pub fn filter_out(si: &[TraceEvent], sj: &[TraceEvent]) -> (Vec<TraceEvent>, Vec
     (keep(si), keep(sj))
 }
 
+/// The word slots both calls touch with at least one of them writing,
+/// sorted and deduplicated for [`touches`].
+fn shared_words(si: &[TraceEvent], sj: &[TraceEvent]) -> Vec<u64> {
+    let mut shared = Vec::new();
+    for ai in si.iter().filter_map(TraceEvent::as_access) {
+        for aj in sj.iter().filter_map(TraceEvent::as_access) {
+            if ai.kind.writes() || aj.kind.writes() {
+                shared.extend(overlap_words(ai, aj));
+            }
+        }
+    }
+    shared.sort_unstable();
+    shared.dedup();
+    shared
+}
+
+/// Whether access `a` covers one of the `shared` word slots.
+fn touches(shared: &[u64], a: &AccessRecord) -> bool {
+    words_of(a).any(|w| shared.binary_search(&w).is_ok())
+}
+
 const WORD_MASK: u64 = !7;
 
 /// The 8-byte word slots an access covers: from the word containing its
 /// first byte through the word containing its last byte. Both sides of the
 /// shared-set computation — slot insertion in `overlap_words` and slot
-/// lookup in `filter_out` — must use this same word-aligned granularity;
+/// lookup in `touches` — must use this same word-aligned granularity;
 /// keying either side on raw (possibly unaligned) byte addresses makes a
 /// partially-overlapping access miss its own shared slot and get filtered
 /// out of its own trace.
@@ -153,15 +168,34 @@ pub fn calc_hints(si: &[TraceEvent], sj: &[TraceEvent]) -> Vec<SchedHint> {
 /// `READ_ONCE` no longer closes a load group (it is not a load barrier
 /// there), so load-test hints can reorder across it.
 pub fn calc_hints_for(si: &[TraceEvent], sj: &[TraceEvent], model: MemoryModel) -> Vec<SchedHint> {
-    // Step 1: filter out irrelevant memory accesses.
-    let (fi, fj) = filter_out(si, sj);
+    // Step 1: the shared words decide which accesses survive filtering.
+    let shared = shared_words(si, sj);
+    let caps = ksched::ModelCaps::of(model);
     let mut hints = Vec::new();
-    // Step 2 & 3, for each reorderer side and barrier type.
-    for (side, events, full) in [(PairSide::First, &fi, si), (PairSide::Second, &fj, sj)] {
+    let mut group: Vec<AccessRecord> = Vec::new();
+    // Steps 2 & 3, for each reorderer side and barrier type: fill the group
+    // with the surviving accesses up to the next barrier that bounds this
+    // test's reordering, then plan its hints.
+    for (side, events) in [(PairSide::First, si), (PairSide::Second, sj)] {
         for kind in [HintKind::StoreBarrier, HintKind::LoadBarrier] {
-            for group in group_by_barrier(events, kind, model) {
-                build_hints(&group, kind, side, full, &mut hints);
+            for e in events {
+                match e {
+                    TraceEvent::Access(a) if touches(&shared, a) => group.push(*a),
+                    TraceEvent::Access(_) => {}
+                    TraceEvent::Barrier(b) => {
+                        let bounds = match kind {
+                            HintKind::StoreBarrier => caps.bounds_store_group(b.kind),
+                            HintKind::LoadBarrier => caps.bounds_load_group(b.kind),
+                        };
+                        if bounds {
+                            plan_group(&group, kind, side, events, &mut hints);
+                            group.clear();
+                        }
+                    }
+                }
             }
+            plan_group(&group, kind, side, events, &mut hints);
+            group.clear();
         }
     }
     // Sort by decreasing number of reordered accesses.
@@ -174,34 +208,6 @@ pub fn calc_hints_for(si: &[TraceEvent], sj: &[TraceEvent], model: MemoryModel) 
     hints
 }
 
-/// Algorithm 1, step 2: group accesses between barriers of the same type,
-/// asking the model which barrier kinds actually bound that reordering.
-fn group_by_barrier(
-    events: &[TraceEvent],
-    kind: HintKind,
-    model: MemoryModel,
-) -> Vec<Vec<AccessRecord>> {
-    let caps = ksched::ModelCaps::of(model);
-    let bounds = |b: BarrierKind| match kind {
-        HintKind::StoreBarrier => caps.bounds_store_group(b),
-        HintKind::LoadBarrier => caps.bounds_load_group(b),
-    };
-    let mut groups = Vec::new();
-    let mut g: Vec<AccessRecord> = Vec::new();
-    for e in events {
-        match e {
-            TraceEvent::Access(a) => g.push(*a),
-            TraceEvent::Barrier(b) if bounds(b.kind) => {
-                groups.push(std::mem::take(&mut g));
-            }
-            TraceEvent::Barrier(_) => {}
-        }
-    }
-    groups.push(g);
-    groups.retain(|g| g.len() >= 2);
-    groups
-}
-
 /// Algorithm 1, step 3: slide the hypothetical barrier through one group.
 ///
 /// The scheduling point is *fixed per group*: for a store test it is the
@@ -211,58 +217,51 @@ fn group_by_barrier(
 /// the other CPU runs. For a load test it is the group's first access — the
 /// interleaving happens right after the actual barrier (Figure 5b). Only
 /// the hypothetical barrier (the reorder set's boundary) slides.
-fn build_hints(
+///
+/// Only the matching operation kind can be reordered by the respective
+/// OEMU mechanism (delayed stores, versioned loads); atomic RMWs are
+/// single events OEMU never reorders (§3). Sliding the barrier past any
+/// other access leaves the set unchanged, so the distinct sets are the
+/// prefixes of the group's stores (store test: the barrier slides up) or
+/// the suffixes of its loads (load test: it slides down), largest first.
+fn plan_group(
     group: &[AccessRecord],
     kind: HintKind,
     side: PairSide,
     full_trace: &[TraceEvent],
     out: &mut Vec<SchedHint>,
 ) {
-    let sched = match kind {
-        HintKind::StoreBarrier => *group.last().expect("group.len() >= 2"),
-        HintKind::LoadBarrier => group[0],
+    let (sched, rest, reorderable) = match (kind, group) {
+        (_, [] | [_]) => return,
+        (HintKind::StoreBarrier, [rest @ .., last]) => (*last, rest, AccessKind::Store),
+        (HintKind::LoadBarrier, [first, rest @ ..]) => (*first, rest, AccessKind::Load),
     };
-    // Candidates for reordering: everything except the scheduling point.
-    let mut g: Vec<AccessRecord> = match kind {
-        HintKind::StoreBarrier => group[..group.len() - 1].to_vec(),
-        HintKind::LoadBarrier => group[1..].to_vec(),
-    };
+    let largest: Vec<AccessRecord> = rest
+        .iter()
+        .filter(|a| a.kind == reorderable)
+        .copied()
+        .collect();
+    let n = largest.len();
+    if n == 0 {
+        return;
+    }
     let sched_hit = occurrence_of(full_trace, &sched);
-    let mut last_len = usize::MAX;
-    while !g.is_empty() {
-        // Only the matching operation kind can actually be reordered by the
-        // respective OEMU mechanism (delayed stores / versioned loads);
-        // atomic RMWs are single events OEMU never reorders (§3).
-        let reorder: Vec<AccessRecord> = g
-            .iter()
-            .filter(|a| match kind {
-                HintKind::StoreBarrier => a.kind == AccessKind::Store,
-                HintKind::LoadBarrier => a.kind == AccessKind::Load,
-            })
-            .copied()
-            .collect();
-        // Skip empty sets and duplicates (dropping a non-reorderable access
-        // does not change the effective reorder set).
-        if !reorder.is_empty() && reorder.len() != last_len {
-            last_len = reorder.len();
-            out.push(SchedHint {
-                kind,
-                reorderer: side,
-                sched,
-                sched_hit,
-                reorder,
-            });
-        }
-        // Slide the hypothetical barrier by one access: upward for the
-        // store test, downward for the load test.
-        match kind {
-            HintKind::StoreBarrier => {
-                g.pop();
-            }
-            HintKind::LoadBarrier => {
-                g.remove(0);
-            }
-        }
+    let hint = |reorder| SchedHint {
+        kind,
+        reorderer: side,
+        sched,
+        sched_hit,
+        reorder,
+    };
+    let first = out.len();
+    out.push(hint(largest));
+    for len in (1..n).rev() {
+        let largest = &out[first].reorder;
+        let reorder = match kind {
+            HintKind::StoreBarrier => largest[..len].to_vec(),
+            HintKind::LoadBarrier => largest[n - len..].to_vec(),
+        };
+        out.push(hint(reorder));
     }
 }
 
@@ -283,7 +282,7 @@ fn occurrence_of(full_trace: &[TraceEvent], target: &AccessRecord) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oemu::{BarrierRecord, Iid};
+    use oemu::{BarrierKind, BarrierRecord, Iid};
 
     fn access(iid: u64, addr: u64, kind: AccessKind, ts: u64) -> TraceEvent {
         TraceEvent::Access(AccessRecord {

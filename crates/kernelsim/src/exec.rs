@@ -17,7 +17,10 @@
 //! Both legs of a pair run interleaved on the calling thread under
 //! [`ksched::StepScheduler`]: a context switch is a nested function call,
 //! so pair execution spawns no threads. Syscall pairs and the closure pairs
-//! of [`run_concurrent_closures`] share one leg runner.
+//! of [`run_concurrent_closures`] share one leg runner, which installs the
+//! scheduler on the machine for the run; the machine then gates only the
+//! instructions the scheduler can act on — the breakpoint's instruction of
+//! a live plan, every instruction of a record or replay drive.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -10,20 +10,28 @@
 //! reordering decisions see the live allocator state, and the oracles see
 //! reordered values.
 //!
+//! The access path pays only for work that can change its result. Like a
+//! hypervisor that stops a vCPU only at its breakpoint, a gate whose
+//! scheduler cannot act at the instruction (see [`ksched::GateFilter`],
+//! cached next to the scheduler slot when one is installed) returns after
+//! one atomic load, without locking the slot or cloning the scheduler. The
+//! oracles name the innermost kernel function, which needs the frame
+//! stack's lock, only when they report a fault.
+//!
 //! A detected fault records a crash report and returns [`Oops`] — the
 //! analog of a kernel oops that kills the offending task. Every accessor
 //! that can fault returns a [`KResult`], kernel code propagates the oops
 //! with `?`, and the executor turns it into [`ECRASH`] at the syscall
 //! boundary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use kmem::{
     CrashReport, Fault, FnRegistry, FnRegistrySnapshot, Kmem, KmemSnapshot, LockId, Lockdep,
     LockdepSnapshot, OracleSink, SinkSnapshot,
 };
-use ksched::StepScheduler;
+use ksched::{GateFilter, StepScheduler};
 use kutil::sync::Mutex;
 use oemu::{Engine, EngineSnapshot, Iid, LoadAnn, MemoryModel, RmwOrder, StoreAnn, Tid};
 
@@ -44,6 +52,13 @@ pub const EBUSY: i64 = -16;
 pub const EAGAIN: i64 = -11;
 /// Sentinel return of a syscall that died in a simulated oops.
 pub const ECRASH: i64 = -1000;
+
+/// `Kctx::gate_filter` when no scheduler is installed or none of its gates
+/// can act.
+const GATES_NOWHERE: u64 = 0;
+/// `Kctx::gate_filter` when every gate may act. Any other value is the one
+/// instruction id whose gates may act.
+const GATES_EVERYWHERE: u64 = u64::MAX;
 
 /// A simulated kernel oops: the task that raised it is dead. The crash
 /// report is already in the machine's sink; this marker only says that the
@@ -166,6 +181,10 @@ pub struct Kctx {
     pub sink: OracleSink,
     /// The step scheduler of the concurrent phase in progress, if any.
     sched: Mutex<Option<Arc<StepScheduler>>>,
+    /// The installed scheduler's [`GateFilter`], encoded as `GATES_*` or an
+    /// instruction id: the access path reads it without locking `sched`
+    /// and skips every gate that cannot act.
+    gate_filter: AtomicU64,
     bugs: BugSwitches,
     /// Instrumentation bypass for the Table 5 overhead baseline.
     raw: AtomicBool,
@@ -197,6 +216,7 @@ impl Kctx {
             lockdep: Lockdep::new(),
             sink: OracleSink::new(),
             sched: Mutex::new(None),
+            gate_filter: AtomicU64::new(GATES_NOWHERE),
             bugs,
             raw: AtomicBool::new(false),
             migration_override: AtomicBool::new(false),
@@ -339,9 +359,22 @@ impl Kctx {
     }
 
     /// Installs (or removes) the step scheduler for the concurrent phase of
-    /// a test; the instrumented-access gates consult it.
+    /// a test; the instrumented-access gates consult it. Its gate filter is
+    /// cached next to the slot, so a gate that cannot act costs one atomic
+    /// load.
     pub fn set_step_scheduler(&self, sched: Option<Arc<StepScheduler>>) {
-        *self.sched.lock() = sched;
+        let filter = match sched.as_ref().map(|s| s.gate_filter()) {
+            None | Some(GateFilter::Nowhere) => GATES_NOWHERE,
+            // An id that collides with a sentinel widens to every gate,
+            // which only costs the lock the filter would have saved.
+            Some(GateFilter::At(iid)) if iid.0 != GATES_NOWHERE && iid.0 != GATES_EVERYWHERE => {
+                iid.0
+            }
+            Some(GateFilter::At(_) | GateFilter::Everywhere) => GATES_EVERYWHERE,
+        };
+        let mut slot = self.sched.lock();
+        *slot = sched;
+        self.gate_filter.store(filter, Ordering::Release);
     }
 
     /// Does nothing: there is one pair executor. Kept only because the
@@ -424,23 +457,31 @@ impl Kctx {
 
     fn check(&self, t: Tid, addr: u64, write: bool) -> KResult<()> {
         self.kmem
-            .check_access(addr, 8, write, self.current_fn(t))
+            .check_access(addr, 8, write, || self.current_fn(t))
             .map_err(|fault| self.oops(fault))
     }
 
+    /// The installed scheduler, if one is installed and its gates can act
+    /// at `iid`. Cloned out of the lock: the gate may run the peer leg
+    /// inline, and holding the slot's mutex across that would deadlock the
+    /// peer CPU's own gate call.
+    fn gating(&self, iid: Iid) -> Option<Arc<StepScheduler>> {
+        match self.gate_filter.load(Ordering::Acquire) {
+            GATES_NOWHERE => None,
+            GATES_EVERYWHERE => self.sched.lock().clone(),
+            at if at == iid.0 => self.sched.lock().clone(),
+            _ => None,
+        }
+    }
+
     fn gate_before(&self, t: Tid, iid: Iid) {
-        // Clone out of the lock before gating: the gate may run the peer
-        // leg inline, and holding the sched slot's mutex across that would
-        // deadlock the peer CPU's own gate call.
-        let sched = self.sched.lock().clone();
-        if let Some(s) = sched {
+        if let Some(s) = self.gating(iid) {
             s.gate_before(t, iid);
         }
     }
 
     fn gate_after(&self, t: Tid, iid: Iid) {
-        let sched = self.sched.lock().clone();
-        if let Some(s) = sched {
+        if let Some(s) = self.gating(iid) {
             s.gate_after(t, iid);
         }
     }
@@ -556,7 +597,7 @@ impl Kctx {
     /// `kfree(p)`; double frees and wild frees oops.
     pub fn kfree(&self, t: Tid, addr: u64) -> KResult<()> {
         self.kmem
-            .kfree(addr, self.current_fn(t))
+            .kfree(addr, || self.current_fn(t))
             .map_err(|fault| self.oops(fault))
     }
 
@@ -564,7 +605,7 @@ impl Kctx {
     /// the `buf->ops->confirm()` crash of Figure 1.
     pub fn call_fn(&self, t: Tid, target: u64) -> KResult<&'static str> {
         self.fns
-            .resolve(target, self.current_fn(t))
+            .resolve(target, || self.current_fn(t))
             .map_err(|fault| self.oops(fault))
     }
 
@@ -572,7 +613,7 @@ impl Kctx {
     /// scheduler already serialises execution, so no blocking is needed).
     pub fn lock(&self, t: Tid, lock: LockId) -> KResult<()> {
         self.lockdep
-            .acquire(t, lock, self.current_fn(t))
+            .acquire(t, lock, || self.current_fn(t))
             .map_err(|fault| self.oops(fault))
     }
 
@@ -647,6 +688,48 @@ mod tests {
         );
     }
 
+    /// The oracles look the frame stack up only when they report a fault;
+    /// each report must still name the innermost frame, not an outer one.
+    #[test]
+    fn every_oracle_names_the_innermost_frame() {
+        let k = Kctx::new(BugSwitches::none());
+        let t = Tid(0);
+        let _outer = k.enter(t, "outer_fn");
+        let obj = k.kzalloc(16, "obj");
+        k.kfree(t, obj).unwrap();
+        k.lock(t, LockId(0x11)).unwrap();
+        k.lock(t, LockId(0x22)).unwrap(); // learns 0x11 -> 0x22
+        k.unlock(t, LockId(0x22));
+        k.unlock(t, LockId(0x11));
+        {
+            let _f = k.enter(t, "null_reader");
+            assert_eq!(k.read(t, iid!(), 0), Err(Oops));
+        }
+        {
+            let _f = k.enter(t, "double_freer");
+            assert_eq!(k.kfree(t, obj), Err(Oops));
+        }
+        {
+            let _f = k.enter(t, "null_caller");
+            assert_eq!(k.call_fn(t, 0), Err(Oops));
+        }
+        {
+            let _f = k.enter(t, "inverter");
+            k.lock(t, LockId(0x22)).unwrap();
+            assert_eq!(k.lock(t, LockId(0x11)), Err(Oops));
+        }
+        let titles: Vec<String> = k.sink.take().into_iter().map(|r| r.title).collect();
+        assert_eq!(
+            titles,
+            [
+                "BUG: unable to handle kernel NULL pointer dereference in null_reader",
+                "KASAN: double-free in double_freer",
+                "BUG: unable to handle kernel NULL pointer dereference in null_caller",
+                "possible circular locking dependency detected in inverter",
+            ]
+        );
+    }
+
     #[test]
     fn raw_mode_bypasses_engine_and_oracles() {
         let k = Kctx::new(BugSwitches::none());
@@ -666,6 +749,39 @@ mod tests {
         assert_eq!(k.cpu_of(Tid(1)), 1);
         k.set_migration_override(true);
         assert_eq!(k.cpu_of(Tid(1)), 0);
+    }
+
+    /// A breakpoint whose id collides with a `gate_filter` sentinel must
+    /// still fire: the cached filter widens to every gate.
+    #[test]
+    fn breakpoints_at_sentinel_ids_still_fire() {
+        use crate::exec::run_concurrent_closures;
+        use ksched::{BreakWhen, Breakpoint, SchedulePlan};
+        for id in [GATES_NOWHERE, GATES_EVERYWHERE] {
+            let k = Kctx::new(BugSwitches::none());
+            let obj = k.kzalloc(8, "obj");
+            let plan = SchedulePlan {
+                first: Tid(0),
+                breakpoint: Some(Breakpoint {
+                    iid: Iid(id),
+                    when: BreakWhen::After,
+                    hit: 1,
+                }),
+            };
+            let out = run_concurrent_closures(
+                &k,
+                plan,
+                move |k| {
+                    k.write(Tid(0), Iid(id), obj, 1)?; // switches here
+                    k.read(Tid(0), iid!(), obj).map(|v| v as i64)
+                },
+                move |k| {
+                    k.write(Tid(1), iid!(), obj, 2)?;
+                    Ok(0)
+                },
+            );
+            assert_eq!(out.ret_a, 2, "CPU 1 ran inside CPU 0's gate (id {id:#x})");
+        }
     }
 
     #[test]

@@ -197,40 +197,31 @@ impl Kmem {
     }
 
     /// Frees an object (`kfree`). Freed objects are quarantined forever;
-    /// double frees and frees of non-object addresses fault.
-    pub fn kfree(&self, addr: u64, in_fn: &'static str) -> Result<(), Fault> {
-        let mut inner = self.inner.lock();
-        match inner.objects.get_mut(&addr) {
-            Some(obj) if obj.state == AllocState::Allocated => {
-                let pre = obj.clone();
-                obj.state = AllocState::Freed;
-                inner.journal(addr, Some(pre));
-                inner.stats.frees += 1;
-                Ok(())
-            }
-            Some(_) => Err(Fault {
-                kind: FaultKind::DoubleFree { object: addr },
-                addr,
-                in_fn,
-            }),
-            None if addr < NULL_GUARD => {
-                // `kfree(NULL)` is a no-op in Linux.
-                if addr == 0 {
-                    Ok(())
-                } else {
-                    Err(Fault {
-                        kind: FaultKind::NullDeref { write: true },
-                        addr,
-                        in_fn,
-                    })
+    /// double frees and frees of non-object addresses fault. `in_fn` names
+    /// the faulting function and is called only when the free faults.
+    pub fn kfree(&self, addr: u64, in_fn: impl FnOnce() -> &'static str) -> Result<(), Fault> {
+        let kind = {
+            let mut inner = self.inner.lock();
+            match inner.objects.get_mut(&addr) {
+                Some(obj) if obj.state == AllocState::Allocated => {
+                    let pre = obj.clone();
+                    obj.state = AllocState::Freed;
+                    inner.journal(addr, Some(pre));
+                    inner.stats.frees += 1;
+                    return Ok(());
                 }
+                Some(_) => FaultKind::DoubleFree { object: addr },
+                // `kfree(NULL)` is a no-op in Linux.
+                None if addr == 0 => return Ok(()),
+                None if addr < NULL_GUARD => FaultKind::NullDeref { write: true },
+                None => FaultKind::Wild { write: true },
             }
-            None => Err(Fault {
-                kind: FaultKind::Wild { write: true },
-                addr,
-                in_fn,
-            }),
-        }
+        };
+        Err(Fault {
+            kind,
+            addr,
+            in_fn: in_fn(),
+        })
     }
 
     /// KASAN check for an access of `size` bytes at `addr`.
@@ -242,82 +233,62 @@ impl Kmem {
     /// - inside a live object's redzone or straddling its end → slab
     ///   out-of-bounds;
     /// - anywhere else → general protection fault (wild access).
+    ///
+    /// `in_fn` names the faulting function and is called only when the
+    /// access faults: a clean access never looks up the frame stack.
     pub fn check_access(
         &self,
         addr: u64,
         size: u64,
         write: bool,
-        in_fn: &'static str,
+        in_fn: impl FnOnce() -> &'static str,
     ) -> Result<(), Fault> {
+        match self.access_fault(addr, size, write) {
+            None => Ok(()),
+            Some(kind) => Err(Fault {
+                kind,
+                addr,
+                in_fn: in_fn(),
+            }),
+        }
+    }
+
+    /// The fault an access of `size` bytes at `addr` raises, if any.
+    fn access_fault(&self, addr: u64, size: u64, write: bool) -> Option<FaultKind> {
         let mut inner = self.inner.lock();
         inner.stats.checks += 1;
         if addr < NULL_GUARD {
-            return Err(Fault {
-                kind: FaultKind::NullDeref { write },
-                addr,
-                in_fn,
-            });
+            return Some(FaultKind::NullDeref { write });
         }
         if addr < HEAP_BASE {
-            return Err(Fault {
-                kind: FaultKind::Wild { write },
-                addr,
-                in_fn,
-            });
+            return Some(FaultKind::Wild { write });
         }
         // Find the nearest object at or below `addr`.
-        let obj = inner
-            .objects
-            .range(..=addr)
-            .next_back()
-            .map(|(_, o)| o.clone());
-        let Some(obj) = obj else {
-            return Err(Fault {
-                kind: FaultKind::Wild { write },
-                addr,
-                in_fn,
-            });
+        let Some((_, obj)) = inner.objects.range(..=addr).next_back() else {
+            return Some(FaultKind::Wild { write });
         };
         let end = obj.base + obj.size;
         let guard_end = end + REDZONE;
+        let uaf = FaultKind::UseAfterFree {
+            write,
+            object: obj.base,
+        };
         if addr + size <= end {
             match obj.state {
-                AllocState::Allocated => Ok(()),
-                AllocState::Freed => Err(Fault {
-                    kind: FaultKind::UseAfterFree {
-                        write,
-                        object: obj.base,
-                    },
-                    addr,
-                    in_fn,
-                }),
+                AllocState::Allocated => None,
+                AllocState::Freed => Some(uaf),
             }
         } else if addr < guard_end {
             match obj.state {
-                AllocState::Allocated => Err(Fault {
-                    kind: FaultKind::OutOfBounds {
-                        write,
-                        object: obj.base,
-                        overflow: addr.saturating_sub(end) + size,
-                    },
-                    addr,
-                    in_fn,
+                AllocState::Allocated => Some(FaultKind::OutOfBounds {
+                    write,
+                    object: obj.base,
+                    overflow: addr.saturating_sub(end) + size,
                 }),
-                AllocState::Freed => Err(Fault {
-                    kind: FaultKind::UseAfterFree {
-                        write,
-                        object: obj.base,
-                    },
-                    addr,
-                    in_fn,
-                }),
+                AllocState::Freed => Some(uaf),
             }
         } else {
-            Err(Fault {
-                kind: FaultKind::Wild { write },
-                addr,
-                in_fn,
-            })
+            Some(FaultKind::Wild { write })
         }
     }
 
@@ -444,6 +415,18 @@ impl Kmem {
 mod tests {
     use super::*;
 
+    /// A clean access or free never asks for the faulting function's name
+    /// (the caller's frame-stack lookup runs only on a fault).
+    #[test]
+    fn clean_paths_never_name_a_frame() {
+        let k = Kmem::new();
+        let a = k.kzalloc(16, "obj");
+        let unnamed = || -> &'static str { unreachable!("only a fault names a frame") };
+        k.check_access(a, 8, true, unnamed).unwrap();
+        k.kfree(a, unnamed).unwrap();
+        k.kfree(0, unnamed).unwrap();
+    }
+
     #[test]
     fn alloc_is_aligned_and_disjoint() {
         let k = Kmem::new();
@@ -458,16 +441,16 @@ mod tests {
     fn in_bounds_access_passes() {
         let k = Kmem::new();
         let a = k.kzalloc(32, "obj");
-        assert!(k.check_access(a, 8, false, "f").is_ok());
-        assert!(k.check_access(a + 24, 8, true, "f").is_ok());
+        assert!(k.check_access(a, 8, false, || "f").is_ok());
+        assert!(k.check_access(a + 24, 8, true, || "f").is_ok());
     }
 
     #[test]
     fn null_guard_faults() {
         let k = Kmem::new();
-        let fault = k.check_access(0, 8, false, "pipe_read").unwrap_err();
+        let fault = k.check_access(0, 8, false, || "pipe_read").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::NullDeref { write: false }));
-        let fault = k.check_access(0x40, 8, true, "fput").unwrap_err();
+        let fault = k.check_access(0x40, 8, true, || "fput").unwrap_err();
         assert_eq!(
             fault.title(),
             "KASAN: null-ptr-deref Write in fput",
@@ -480,7 +463,7 @@ mod tests {
         let k = Kmem::new();
         let a = k.kzalloc(32, "obj");
         let fault = k
-            .check_access(a + 32, 8, false, "rds_loop_xmit")
+            .check_access(a + 32, 8, false, || "rds_loop_xmit")
             .unwrap_err();
         assert!(matches!(fault.kind, FaultKind::OutOfBounds { .. }));
         assert_eq!(
@@ -495,15 +478,15 @@ mod tests {
         let k = Kmem::new();
         let a = k.kzalloc(12, "obj");
         // Bytes [8, 16) extend past the 12-byte object.
-        assert!(k.check_access(a + 8, 8, false, "f").is_err());
+        assert!(k.check_access(a + 8, 8, false, || "f").is_err());
     }
 
     #[test]
     fn uaf_detected_after_free() {
         let k = Kmem::new();
         let a = k.kzalloc(16, "obj");
-        k.kfree(a, "kfree").unwrap();
-        let fault = k.check_access(a, 8, false, "reader").unwrap_err();
+        k.kfree(a, || "kfree").unwrap();
+        let fault = k.check_access(a, 8, false, || "reader").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::UseAfterFree { .. }));
     }
 
@@ -511,22 +494,22 @@ mod tests {
     fn double_free_detected() {
         let k = Kmem::new();
         let a = k.kzalloc(16, "obj");
-        k.kfree(a, "kfree").unwrap();
-        let fault = k.kfree(a, "kfree").unwrap_err();
+        k.kfree(a, || "kfree").unwrap();
+        let fault = k.kfree(a, || "kfree").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::DoubleFree { .. }));
     }
 
     #[test]
     fn kfree_null_is_noop() {
         let k = Kmem::new();
-        assert!(k.kfree(0, "kfree").is_ok());
+        assert!(k.kfree(0, || "kfree").is_ok());
     }
 
     #[test]
     fn wild_access_is_gpf() {
         let k = Kmem::new();
         let fault = k
-            .check_access(0xdead_0000, 8, false, "add_wait_queue")
+            .check_access(0xdead_0000, 8, false, || "add_wait_queue")
             .unwrap_err();
         assert!(matches!(fault.kind, FaultKind::Wild { .. }));
         assert_eq!(
@@ -540,7 +523,7 @@ mod tests {
     fn addresses_never_reused() {
         let k = Kmem::new();
         let a = k.kzalloc(16, "a");
-        k.kfree(a, "kfree").unwrap();
+        k.kfree(a, || "kfree").unwrap();
         let b = k.kzalloc(16, "b");
         assert_ne!(a, b, "quarantine forbids address reuse");
     }
@@ -560,7 +543,7 @@ mod tests {
         snap.digest(&mut before);
         assert_eq!(live_digest(&k), before, "live digest matches snapshot");
         let _b = k.kzalloc(32, "rolled-back");
-        k.kfree(a, "kfree").unwrap();
+        k.kfree(a, || "kfree").unwrap();
         assert!(k.restore(&snap), "incremental path taken");
         assert_eq!(live_digest(&k), before);
         assert_eq!(k.live_objects(), 1);
@@ -604,7 +587,7 @@ mod tests {
         let obj = k.object_at(a + 8).expect("found");
         assert_eq!(obj.tag, "tls_context");
         assert_eq!(k.live_objects(), 1);
-        k.kfree(a, "kfree").unwrap();
+        k.kfree(a, || "kfree").unwrap();
         assert_eq!(k.live_objects(), 0);
         let s = k.stats();
         assert_eq!((s.allocs, s.frees), (1, 1));

@@ -197,19 +197,24 @@ impl FnRegistry {
     ///
     /// A zero target is the uninitialised-ops-table crash of Figures 1
     /// and 7; any other unregistered target is a general protection fault.
-    pub fn resolve(&self, target: u64, in_fn: &'static str) -> Result<&'static str, Fault> {
-        if target == 0 {
-            return Err(Fault {
-                kind: FaultKind::NullFnCall,
-                addr: 0,
-                in_fn,
-            });
-        }
-        let inner = self.inner.lock();
-        inner.by_addr.get(&target).copied().ok_or(Fault {
-            kind: FaultKind::WildFnCall { target },
+    /// `in_fn` names the faulting function and is called only on a fault.
+    pub fn resolve(
+        &self,
+        target: u64,
+        in_fn: impl FnOnce() -> &'static str,
+    ) -> Result<&'static str, Fault> {
+        let kind = if target == 0 {
+            FaultKind::NullFnCall
+        } else {
+            match self.inner.lock().by_addr.get(&target) {
+                Some(&name) => return Ok(name),
+                None => FaultKind::WildFnCall { target },
+            }
+        };
+        Err(Fault {
+            kind,
             addr: target,
-            in_fn,
+            in_fn: in_fn(),
         })
     }
 
@@ -236,14 +241,14 @@ mod tests {
     fn resolve_roundtrip() {
         let reg = FnRegistry::new();
         let a = reg.register("pipe_buf_confirm");
-        assert_eq!(reg.resolve(a, "pipe_read").unwrap(), "pipe_buf_confirm");
+        assert_eq!(reg.resolve(a, || "pipe_read").unwrap(), "pipe_buf_confirm");
         assert_eq!(reg.lookup("pipe_buf_confirm"), Some(a));
     }
 
     #[test]
     fn null_call_is_null_deref() {
         let reg = FnRegistry::new();
-        let fault = reg.resolve(0, "pipe_read").unwrap_err();
+        let fault = reg.resolve(0, || "pipe_read").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::NullFnCall));
         assert_eq!(
             fault.title(),
@@ -254,7 +259,7 @@ mod tests {
     #[test]
     fn wild_call_is_gpf() {
         let reg = FnRegistry::new();
-        let fault = reg.resolve(0x1234_5678, "smc_connect").unwrap_err();
+        let fault = reg.resolve(0x1234_5678, || "smc_connect").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::WildFnCall { .. }));
     }
 

@@ -191,8 +191,24 @@ impl Lockdep {
     }
 
     /// Records acquisition of `lock` by `tid`; reports a fault when the new
-    /// ordering edge closes a cycle with previously observed edges.
-    pub fn acquire(&self, tid: Tid, lock: LockId, in_fn: &'static str) -> Result<(), Fault> {
+    /// ordering edge closes a cycle with previously observed edges. `in_fn`
+    /// names the faulting function and is called only on a fault.
+    pub fn acquire(
+        &self,
+        tid: Tid,
+        lock: LockId,
+        in_fn: impl FnOnce() -> &'static str,
+    ) -> Result<(), Fault> {
+        self.acquire_or_cycle(tid, lock).map_err(|cycle| Fault {
+            kind: FaultKind::LockInversion { cycle },
+            addr: lock.0,
+            in_fn: in_fn(),
+        })
+    }
+
+    /// [`acquire`](Lockdep::acquire)'s bookkeeping; a fault is returned as
+    /// the description of the cycle it closes.
+    fn acquire_or_cycle(&self, tid: Tid, lock: LockId) -> Result<(), String> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         // Even a faulting acquire may have inserted the thread's (empty)
@@ -203,22 +219,10 @@ impl Lockdep {
         let held = inner.held.entry(tid).or_default().clone();
         for &h in &held {
             if h == lock {
-                return Err(Fault {
-                    kind: FaultKind::LockInversion {
-                        cycle: format!("recursive acquisition of lock {:#x}", lock.0),
-                    },
-                    addr: lock.0,
-                    in_fn,
-                });
+                return Err(format!("recursive acquisition of lock {:#x}", lock.0));
             }
             if Self::reachable(&inner.edges, lock, h) {
-                return Err(Fault {
-                    kind: FaultKind::LockInversion {
-                        cycle: format!("{:#x} -> {:#x} closes a cycle", h.0, lock.0),
-                    },
-                    addr: lock.0,
-                    in_fn,
-                });
+                return Err(format!("{:#x} -> {:#x} closes a cycle", h.0, lock.0));
             }
         }
         for &h in &held {
@@ -294,8 +298,8 @@ mod tests {
     fn consistent_order_is_fine() {
         let ld = Lockdep::new();
         for _ in 0..3 {
-            ld.acquire(Tid(0), A, "f").unwrap();
-            ld.acquire(Tid(0), B, "f").unwrap();
+            ld.acquire(Tid(0), A, || "f").unwrap();
+            ld.acquire(Tid(0), B, || "f").unwrap();
             ld.release(Tid(0), B);
             ld.release(Tid(0), A);
         }
@@ -304,41 +308,41 @@ mod tests {
     #[test]
     fn abba_inversion_detected() {
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
-        ld.acquire(Tid(0), B, "f").unwrap();
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap();
         ld.release(Tid(0), B);
         ld.release(Tid(0), A);
-        ld.acquire(Tid(1), B, "g").unwrap();
-        let fault = ld.acquire(Tid(1), A, "g").unwrap_err();
+        ld.acquire(Tid(1), B, || "g").unwrap();
+        let fault = ld.acquire(Tid(1), A, || "g").unwrap_err();
         assert!(matches!(fault.kind, FaultKind::LockInversion { .. }));
     }
 
     #[test]
     fn transitive_cycle_detected() {
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
-        ld.acquire(Tid(0), B, "f").unwrap();
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap();
         ld.release(Tid(0), B);
         ld.release(Tid(0), A);
-        ld.acquire(Tid(0), B, "f").unwrap();
-        ld.acquire(Tid(0), C, "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap();
+        ld.acquire(Tid(0), C, || "f").unwrap();
         ld.release(Tid(0), C);
         ld.release(Tid(0), B);
-        ld.acquire(Tid(1), C, "g").unwrap();
-        assert!(ld.acquire(Tid(1), A, "g").is_err());
+        ld.acquire(Tid(1), C, || "g").unwrap();
+        assert!(ld.acquire(Tid(1), A, || "g").is_err());
     }
 
     #[test]
     fn recursive_acquisition_detected() {
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
-        assert!(ld.acquire(Tid(0), A, "f").is_err());
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        assert!(ld.acquire(Tid(0), A, || "f").is_err());
     }
 
     #[test]
     fn held_by_tracks_state() {
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
+        ld.acquire(Tid(0), A, || "f").unwrap();
         assert_eq!(ld.held_by(Tid(0)), vec![A]);
         ld.release(Tid(0), A);
         assert!(ld.held_by(Tid(0)).is_empty());
@@ -353,8 +357,8 @@ mod tests {
     #[test]
     fn incremental_restore_forgets_learned_edges() {
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
-        ld.acquire(Tid(0), B, "f").unwrap(); // boot learns A -> B
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap(); // boot learns A -> B
         ld.release(Tid(0), B);
         ld.release(Tid(0), A);
         let snap = ld.snapshot();
@@ -362,14 +366,14 @@ mod tests {
         snap.digest(&mut before);
         assert_eq!(live_digest(&ld), before);
         // A test run learns B -> C and leaves a lock held.
-        ld.acquire(Tid(1), B, "g").unwrap();
-        ld.acquire(Tid(1), C, "g").unwrap();
+        ld.acquire(Tid(1), B, || "g").unwrap();
+        ld.acquire(Tid(1), C, || "g").unwrap();
         assert!(ld.restore(&snap), "incremental path taken");
         assert_eq!(live_digest(&ld), before);
         // The rolled-back machine rediscovers inversions like a fresh boot:
         // B -> A is fine again only if A -> B persisted — it did (pre-snap).
-        ld.acquire(Tid(0), B, "h").unwrap();
-        assert!(ld.acquire(Tid(0), A, "h").is_err(), "A->B edge survived");
+        ld.acquire(Tid(0), B, || "h").unwrap();
+        assert!(ld.acquire(Tid(0), A, || "h").is_err(), "A->B edge survived");
     }
 
     #[test]
@@ -378,15 +382,15 @@ mod tests {
         // afterwards must survive the rollback (insert() returning false
         // keeps it out of the frame's undo list).
         let ld = Lockdep::new();
-        ld.acquire(Tid(0), A, "f").unwrap();
-        ld.acquire(Tid(0), B, "f").unwrap();
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap();
         ld.release(Tid(0), B);
         ld.release(Tid(0), A);
         let snap = ld.snapshot();
         let mut before = String::new();
         snap.digest(&mut before);
-        ld.acquire(Tid(0), A, "f").unwrap();
-        ld.acquire(Tid(0), B, "f").unwrap(); // re-learns A -> B
+        ld.acquire(Tid(0), A, || "f").unwrap();
+        ld.acquire(Tid(0), B, || "f").unwrap(); // re-learns A -> B
         ld.release(Tid(0), B);
         ld.release(Tid(0), A);
         assert!(ld.restore(&snap));
@@ -396,14 +400,14 @@ mod tests {
     #[test]
     fn cross_machine_restore_falls_back_to_full() {
         let a = Lockdep::new();
-        a.acquire(Tid(0), A, "f").unwrap();
+        a.acquire(Tid(0), A, || "f").unwrap();
         let snap = a.snapshot();
         let b = Lockdep::new();
         assert!(!b.restore(&snap));
         let mut d = String::new();
         snap.digest(&mut d);
         assert_eq!(live_digest(&b), d);
-        b.acquire(Tid(1), C, "g").unwrap();
+        b.acquire(Tid(1), C, || "g").unwrap();
         assert!(b.restore(&snap), "re-armed after fallback");
         assert_eq!(live_digest(&b), d);
     }

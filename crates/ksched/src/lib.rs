@@ -21,6 +21,14 @@
 //! switch, exactly like a suspended vCPU whose in-flight stores the paper's
 //! OEMU keeps buffered.
 //!
+//! Like the hypervisor, which traps only on its breakpoint, a scheduler
+//! reports up front which instructions its gates can act on
+//! ([`StepScheduler::gate_filter`], a [`GateFilter`] read without a lock):
+//! a plan acts only at its breakpoint's instruction, a sequential plan
+//! nowhere, and record and replay modes at every gate, because their
+//! switch log counts every gate call. A gate at any other instruction
+//! returns at once, and callers may skip it entirely.
+//!
 //! # Examples
 //!
 //! ```
@@ -191,6 +199,32 @@ struct State {
 /// invokes when that CPU is scheduled.
 pub type Leg = Box<dyn FnOnce() + Send>;
 
+/// The instructions at which a scheduler's gates can act, fixed when the
+/// scheduler is built and read without a lock
+/// ([`StepScheduler::gate_filter`]). A gate at any other instruction is a
+/// no-op, so callers may skip it entirely.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum GateFilter {
+    /// No gate acts: a sequential plan.
+    Nowhere,
+    /// Only gates at this instruction act: a plan's breakpoint.
+    At(Iid),
+    /// Every gate acts: record and replay modes count every gate call,
+    /// because the switch log is keyed by per-thread gate counts.
+    Everywhere,
+}
+
+impl GateFilter {
+    /// Whether a gate at `iid` can act.
+    pub fn admits(self, iid: Iid) -> bool {
+        match self {
+            GateFilter::Nowhere => false,
+            GateFilter::At(at) => at == iid,
+            GateFilter::Everywhere => true,
+        }
+    }
+}
+
 /// The pair scheduler: both simulated CPUs run interleaved on the calling
 /// OS thread, and a context switch is a nested function call.
 ///
@@ -211,6 +245,7 @@ pub struct StepScheduler {
     legs: Mutex<Vec<Option<Leg>>>,
     nthreads: usize,
     mode: SchedMode,
+    filter: GateFilter,
 }
 
 impl StepScheduler {
@@ -222,6 +257,11 @@ impl StepScheduler {
         switch_log: Vec<SwitchPoint>,
     ) -> Self {
         assert!(first.0 < nthreads, "first thread out of range");
+        let filter = match (mode, breakpoint) {
+            (SchedMode::Plan, Some(bp)) => GateFilter::At(bp.iid),
+            (SchedMode::Plan, None) => GateFilter::Nowhere,
+            (SchedMode::Record | SchedMode::Replay, _) => GateFilter::Everywhere,
+        };
         StepScheduler {
             state: Mutex::new(State {
                 active: first,
@@ -236,6 +276,7 @@ impl StepScheduler {
             legs: Mutex::new((0..nthreads).map(|_| None).collect()),
             nthreads,
             mode,
+            filter,
         }
     }
 
@@ -284,6 +325,13 @@ impl StepScheduler {
         Self::with_mode(nthreads, first, None, SchedMode::Replay, switches)
     }
 
+    /// The instructions at which this scheduler's gates can act, without
+    /// taking a lock. A plan acts only at its breakpoint's instruction and
+    /// a sequential plan nowhere; record and replay modes act at every gate.
+    pub fn gate_filter(&self) -> GateFilter {
+        self.filter
+    }
+
     /// Takes the switch log recorded by a
     /// [`recording`](StepScheduler::recording) scheduler.
     pub fn take_switch_log(&self) -> Vec<SwitchPoint> {
@@ -328,6 +376,9 @@ impl StepScheduler {
     }
 
     fn gate(&self, tid: Tid, iid: Iid, phase: BreakWhen) {
+        if !self.filter.admits(iid) {
+            return;
+        }
         let next = {
             let mut st = self.state.lock();
             debug_assert_eq!(st.active, tid, "only the token holder may execute");
@@ -769,6 +820,100 @@ mod step_tests {
             to: Tid(to),
         };
         StepScheduler::replaying(2, Tid(0), vec![sp(0, 1, 1), sp(1, 1, 0)]);
+    }
+
+    #[test]
+    fn plan_gates_act_only_at_the_breakpoint_instruction() {
+        let point = iid!();
+        let other = iid!();
+        let plan = SchedulePlan {
+            first: Tid(0),
+            breakpoint: Some(Breakpoint {
+                iid: point,
+                when: BreakWhen::After,
+                hit: 2,
+            }),
+        };
+        let sched = Arc::new(StepScheduler::new(2, plan));
+        assert_eq!(sched.gate_filter(), GateFilter::At(point));
+        assert!(sched.gate_filter().admits(point));
+        assert!(!sched.gate_filter().admits(other));
+        // Gates the filter rejects are no-ops: they neither count toward
+        // the hit count nor need the token (thread 1 gates while thread 0
+        // holds it).
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (o0, o1) = (Arc::clone(&order), Arc::clone(&order));
+        sched.gate_after(Tid(1), other);
+        run_two_stepped(
+            &sched,
+            move |sc| {
+                for i in 0..3 {
+                    sc.gate_after(Tid(0), other);
+                    sc.gate_after(Tid(0), point); // fires on its second hit
+                    o0.lock().push(format!("t0-{i}"));
+                }
+            },
+            move |sc| {
+                sc.gate_before(Tid(1), other);
+                o1.lock().push("t1".to_string());
+            },
+        );
+        assert_eq!(*order.lock(), vec!["t0-0", "t1", "t0-1", "t0-2"]);
+        assert_eq!(sched.switches(), 1);
+    }
+
+    #[test]
+    fn sequential_plan_acts_nowhere() {
+        let sched = Arc::new(StepScheduler::new(2, SchedulePlan::sequential(Tid(0))));
+        assert_eq!(sched.gate_filter(), GateFilter::Nowhere);
+        let point = iid!();
+        assert!(!sched.gate_filter().admits(point));
+        run_two_stepped(
+            &sched,
+            move |sc| sc.gate_after(Tid(0), point),
+            move |sc| sc.gate_before(Tid(1), point),
+        );
+        assert_eq!(sched.switches(), 0);
+    }
+
+    /// Record and replay schedulers key the switch log by per-thread gate
+    /// counts, so every gate acts — including gates at instructions the
+    /// plan's breakpoint never names — and the recorded `nth_gate` counts
+    /// them all.
+    #[test]
+    fn record_and_replay_act_at_every_gate() {
+        let point = iid!();
+        let other = iid!();
+        let plan = SchedulePlan {
+            first: Tid(0),
+            breakpoint: Some(Breakpoint {
+                iid: point,
+                when: BreakWhen::After,
+                hit: 1,
+            }),
+        };
+        let rec = Arc::new(StepScheduler::recording(2, plan));
+        assert_eq!(rec.gate_filter(), GateFilter::Everywhere);
+        let body0 = move |sc: &StepScheduler| {
+            for _ in 0..3 {
+                sc.gate_after(Tid(0), other);
+            }
+            sc.gate_after(Tid(0), point);
+        };
+        run_two_stepped(&rec, body0, |_| {});
+        let log = rec.take_switch_log();
+        assert_eq!(
+            log,
+            vec![SwitchPoint {
+                tid: Tid(0),
+                nth_gate: 4,
+                to: Tid(1),
+            }]
+        );
+        let rep = Arc::new(StepScheduler::replaying(2, Tid(0), log));
+        assert_eq!(rep.gate_filter(), GateFilter::Everywhere);
+        run_two_stepped(&rep, body0, |_| {});
+        assert_eq!(rep.switches(), 1);
     }
 
     #[test]

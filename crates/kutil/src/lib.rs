@@ -21,6 +21,9 @@
 //!   corpus broadcasts coordinator→worker).
 //! - [`codec`] — a versioned line-oriented text codec replacing `serde`
 //!   for durable artifacts (campaign checkpoints, the crash database).
+//! - [`FxHasher`] — rustc's rotate-multiply hash (`rustc-hash` 1.x's
+//!   algorithm), for maps keyed by simulated addresses on the emulation
+//!   hot path.
 
 #![deny(missing_docs)]
 
@@ -63,6 +66,67 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// rustc's `FxHasher`: each word is folded in with one rotate, xor and
+/// multiply. It is much cheaper than the default SipHash and gives no
+/// protection against adversarial keys, so it backs only maps whose keys
+/// the simulated kernel computes itself (simulated addresses), never maps
+/// filled from files. Its output is stable across platforms and releases,
+/// but nothing may depend on a map's iteration order anyway.
+#[derive(Default, Clone, Copy)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+/// `BuildHasher` for [`FxHasher`]-keyed `HashMap`s and `HashSet`s.
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+#[cfg(test)]
+mod fx_tests {
+    use super::FxHasher;
+    use std::hash::{BuildHasher, Hasher};
+
+    /// Pinned values: a map's layout must not depend on the host.
+    #[test]
+    fn hashes_words_with_the_rustc_constant() {
+        let hash = |v: u64| super::FxBuildHasher::default().hash_one(v);
+        assert_eq!(hash(0), 0);
+        assert_eq!(hash(1), 0x517c_c1b7_2722_0a95);
+        assert_eq!(hash(0x1_0000_0008), 0xb308_184e_3910_54a8);
+        let mut h = FxHasher::default();
+        h.write(b"abc");
+        assert_eq!(
+            h.finish(),
+            0x0063_6261_u64.wrapping_mul(0x517c_c1b7_2722_0a95)
+        );
+    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 use std::collections::{HashMap, HashSet};
 
 use kutil::sync::Mutex;
+use kutil::FxBuildHasher;
 
 use crate::history::{StoreHistory, StoreRecord};
 use crate::iid::Iid;
@@ -152,9 +153,9 @@ struct ThreadState {
     /// Per-location read-coherence floor: once this thread observed the
     /// value a location held at time `t`, later loads of that location must
     /// not observe anything older (the CoRR guarantee every architecture —
-    /// including Alpha — provides). Keyed by address; values are commit
-    /// timestamps.
-    obs_floor: HashMap<u64, u64>,
+    /// including Alpha — provides). Keyed by simulated address (hence
+    /// [`kutil::FxHasher`]); values are commit timestamps.
+    obs_floor: HashMap<u64, u64, FxBuildHasher>,
     delay_set: HashSet<Iid>,
     read_old_set: HashSet<Iid>,
     profile: Profile,

@@ -19,15 +19,19 @@
 
 use std::collections::HashMap;
 
+use kutil::FxBuildHasher;
+
 /// One undo frame: `(addr, pre-image)` pairs in mutation order. `None`
 /// means the slot was absent (reads as zero) before the mutation.
 type UndoFrame = Vec<(u64, Option<u64>)>;
 
 /// Sparse word-addressed memory. Keys are byte addresses of word slots;
-/// the simulated kernel lays out object fields at 8-byte strides.
+/// the simulated kernel lays out object fields at 8-byte strides. The
+/// addresses are the simulated kernel's own, so the table hashes them with
+/// [`kutil::FxHasher`].
 #[derive(Default, Debug)]
 pub struct Memory {
-    words: HashMap<u64, u64>,
+    words: HashMap<u64, u64, FxBuildHasher>,
     /// Undo journal: one frame per armed snapshot, oldest first. Mutations
     /// append pre-images to the top frame; an empty stack journals nothing.
     /// Deliberately excluded from `Clone`: a snapshot's memory copy is pure
